@@ -5,9 +5,11 @@
 //! [`table1_recipes`] performs on the seven paper models is listed in
 //! first-use order with its II, length and an FNV-1a checksum of its
 //! issue times and placements (`golden_schedules.txt`). A second test
-//! pins the modulo scheduler's decision log on the costliest of those
-//! compiles, the color converter's pipelined loop on I4C8S4: how many II
-//! attempts, placements, evictions and forced placements it makes.
+//! pins the modulo scheduler's decision log on the three pipelined
+//! loops that search longest, among them the costliest of those
+//! compiles, the color converter's loop on I4C8S4: how many II
+//! attempts, placements, evictions and forced placements each makes,
+//! and an FNV-1a checksum of every such event's fields in order.
 //!
 //! A deliberate scheduler change that moves a schedule regenerates the
 //! golden from the rendering the failure message prints.
@@ -15,7 +17,7 @@
 use vsp_core::models;
 use vsp_kernels::variants::{table1_recipes, Recipe};
 use vsp_sched::{compile, compile_with, CompileOptions, CompileShape, ScheduleArtifact};
-use vsp_trace::{TraceEvent, TraceSink};
+use vsp_trace::{SchedOrdering, TraceEvent, TraceSink};
 
 /// 64-bit FNV-1a over a byte stream.
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -102,55 +104,132 @@ fn table1_schedules_match_committed_golden() {
     );
 }
 
-/// Counts the modulo scheduler's decision events.
-#[derive(Debug, Default, PartialEq)]
-struct DecisionCounts {
+/// Counts the modulo scheduler's decision events and checksums their
+/// fields in emission order.
+#[derive(Debug, PartialEq)]
+struct ModuloDecisions {
     attempts: u64,
     places: u64,
     evictions: u64,
     forces: u64,
+    fnv: u64,
 }
 
-impl TraceSink for DecisionCounts {
-    fn emit(&mut self, event: TraceEvent) {
-        match event {
-            TraceEvent::IiAttempt { .. } => self.attempts += 1,
-            TraceEvent::ModuloPlace { .. } => self.places += 1,
-            TraceEvent::ModuloEvict { .. } => self.evictions += 1,
-            TraceEvent::ModuloForce { .. } => self.forces += 1,
-            _ => {}
+impl Default for ModuloDecisions {
+    fn default() -> Self {
+        ModuloDecisions {
+            attempts: 0,
+            places: 0,
+            evictions: 0,
+            forces: 0,
+            fnv: fnv1a([]),
         }
     }
 }
 
+impl TraceSink for ModuloDecisions {
+    fn emit(&mut self, event: TraceEvent) {
+        let words: &[u32] = match event {
+            TraceEvent::IiAttempt { ii, ordering } => {
+                self.attempts += 1;
+                let ordering = match ordering {
+                    SchedOrdering::ScarceFirst => 0,
+                    SchedOrdering::Height => 1,
+                    SchedOrdering::Program => 2,
+                };
+                &[0, ii, ordering]
+            }
+            TraceEvent::ModuloPlace {
+                op,
+                ready,
+                time,
+                row,
+                cluster,
+                slot,
+            } => {
+                self.places += 1;
+                &[1, op, ready, time, row, cluster.into(), slot.into()]
+            }
+            TraceEvent::ModuloEvict { evicted, by } => {
+                self.evictions += 1;
+                &[2, evicted, by]
+            }
+            TraceEvent::ModuloForce { op, time, cluster } => {
+                self.forces += 1;
+                &[3, op, time, cluster.into()]
+            }
+            _ => return,
+        };
+        self.fnv = fnv1a_continue(self.fnv, words.iter().flat_map(|w| w.to_le_bytes()));
+    }
+}
+
+/// The modulo scheduler's decision log, in order, on the Table 1
+/// pipelined loops that search longest: the color converter's loop on
+/// I4C8S4 (the costliest compile behind Table 1), the predicated VBR
+/// loop on I2C16S4 and the direct DCT's MAC loop on I4C8S4.
 #[test]
-fn color_pipelined_loop_decision_log_is_pinned() {
-    let machine = models::i4c8s4();
-    let recipe = table1_recipes(&machine)
-        .into_iter()
-        .find(|r| r.kernel.name == "rgb2ycbcr420" && r.strategy.name == "loop/swp")
-        .expect("Table 1 pipelines the color converter's loop");
-    let mut counts = DecisionCounts::default();
-    let result = compile_with(
-        &recipe.kernel,
-        &recipe.machine,
-        &recipe.strategy,
-        &mut CompileOptions {
-            sink: Some(&mut counts),
-            ..CompileOptions::default()
-        },
-    )
-    .expect("recipe compiles");
-    assert_eq!(result.summary().ii(), Some(59));
-    assert_eq!(
-        counts,
-        DecisionCounts {
-            attempts: 28,
-            places: 34_179,
-            evictions: 29_942,
-            forces: 51,
-        }
-    );
+fn pipelined_loops_decision_log_is_pinned() {
+    let expected = [
+        (
+            models::i4c8s4(),
+            "rgb2ycbcr420",
+            "loop/swp",
+            59,
+            ModuloDecisions {
+                attempts: 28,
+                places: 34_179,
+                evictions: 29_942,
+                forces: 51,
+                fnv: 0x6b41_798b_93a9_0cbd,
+            },
+        ),
+        (
+            models::i2c16s4(),
+            "vbr",
+            "predicate/swp",
+            18,
+            ModuloDecisions {
+                attempts: 25,
+                places: 6_466,
+                evictions: 6_032,
+                forces: 0,
+                fnv: 0x7311_bdd9_6c5e_470b,
+            },
+        ),
+        (
+            models::i4c8s4(),
+            "dct-direct-mac",
+            "mac/swp",
+            38,
+            ModuloDecisions {
+                attempts: 4,
+                places: 3_152,
+                evictions: 2_599,
+                forces: 79,
+                fnv: 0x3420_f1ea_920b_6df4,
+            },
+        ),
+    ];
+    for (machine, kernel, strategy, ii, decisions) in expected {
+        let recipe = table1_recipes(&machine)
+            .into_iter()
+            .find(|r| r.kernel.name == kernel && r.strategy.name == strategy)
+            .unwrap_or_else(|| panic!("Table 1 compiles {kernel} under {strategy}"));
+        let mut log = ModuloDecisions::default();
+        let result = compile_with(
+            &recipe.kernel,
+            &recipe.machine,
+            &recipe.strategy,
+            &mut CompileOptions {
+                sink: Some(&mut log),
+                ..CompileOptions::default()
+            },
+        )
+        .expect("recipe compiles");
+        assert_eq!(result.summary().ii(), Some(ii), "{kernel} {strategy}");
+        assert_eq!(log, decisions, "{} {kernel} {strategy}", machine.name);
+    }
 }
 
 /// Counts the list scheduler's decision events and checksums them in

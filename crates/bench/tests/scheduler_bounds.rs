@@ -17,7 +17,11 @@
 //!   monotonicity in II is the same answer;
 //! * the floored search: `max(floor, RecMII)` for floors 1, ResMII and
 //!   one past the search's upper end;
-//! * heights: relaxation over the edge list until nothing changes.
+//! * heights: relaxation over the edge list until nothing changes;
+//! * the dependence graphs themselves: `build` and `build_renamed` pair
+//!   loads only with stores when they order memory, and their edge
+//!   lists, in order, must equal a construction that visits every pair
+//!   of memory operations.
 //!
 //! Inputs: every distinct compile behind Table 1 on the seven paper
 //! models, and 210 seeded generated kernels lowered for the predicated
@@ -26,10 +30,12 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use vsp_check::gen::{gen_kernel, KernelGenConfig};
-use vsp_core::{models, MachineConfig};
+use vsp_core::{models, LatencyModel, MachineConfig};
 use vsp_ir::Kernel;
+use vsp_isa::{AddrMode, OpKind};
 use vsp_kernels::strategies;
 use vsp_kernels::variants::{table1_recipes, Recipe};
+use vsp_sched::vop::VDep;
 use vsp_sched::{
     compile, min_ii_from, rec_mii, res_mii, CompileShape, LoweredBody, SchedulerChoice, Strategy,
     VopDeps,
@@ -88,14 +94,101 @@ fn reference_heights(deps: &VopDeps) -> Vec<u32> {
     h
 }
 
+/// The dependence edges of `body`, in construction order, with memory
+/// ordering over every pair of memory operations.
+fn reference_edges(machine: &MachineConfig, body: &LoweredBody, renamed: bool) -> Vec<VDep> {
+    let lat = LatencyModel::new(machine);
+    let delay = |d: usize| lat.latency(&body.ops[d].kind);
+    let edge = |from, to, distance, min_delay| VDep {
+        from,
+        to,
+        distance,
+        min_delay,
+    };
+    let mut reg = (
+        vec![Vec::new(); body.vregs as usize],
+        vec![Vec::new(); body.vregs as usize],
+    );
+    let mut pred = (
+        vec![Vec::new(); body.vpreds as usize],
+        vec![Vec::new(); body.vpreds as usize],
+    );
+    for (i, op) in body.ops.iter().enumerate() {
+        for u in op.kind.use_regs() {
+            reg.1[u.index()].push(i);
+        }
+        if let OpKind::Xfer { src, .. } = &op.kind {
+            reg.1[src.index()].push(i);
+        }
+        if let Some(g) = &op.guard {
+            pred.1[g.pred.index()].push(i);
+        }
+        if let OpKind::Branch { pred: p, .. } = &op.kind {
+            pred.1[p.index()].push(i);
+        }
+        if let Some(d) = op.kind.def_reg() {
+            reg.0[d.index()].push(i);
+        }
+        if let Some(p) = op.kind.def_pred() {
+            pred.0[p.index()].push(i);
+        }
+    }
+    let mut edges = Vec::new();
+    for (defs, uses) in [&reg, &pred] {
+        for (ds, us) in defs.iter().zip(uses) {
+            let Some(&last) = ds.last() else { continue };
+            for &u in us {
+                match ds.iter().rev().find(|&&d| d < u) {
+                    Some(&d) => edges.push(edge(d, u, 0, delay(d))),
+                    None => edges.push(edge(last, u, 1, delay(last))),
+                }
+                if let Some(&d) = ds.iter().find(|&&d| d > u) {
+                    edges.push(edge(u, d, 0, 0));
+                } else if ds[0] != u && !renamed {
+                    edges.push(edge(u, ds[0], 1, 0));
+                }
+            }
+            for w in ds.windows(2) {
+                edges.push(edge(w[0], w[1], 0, 1));
+            }
+        }
+    }
+    let access = |k: &OpKind| match k {
+        OpKind::Load { bank, addr, .. } => (false, bank.0, *addr),
+        OpKind::Store { bank, addr, .. } => (true, bank.0, *addr),
+        _ => unreachable!("memory operations only"),
+    };
+    let mem: Vec<usize> = (0..body.ops.len())
+        .filter(|&i| body.ops[i].kind.is_mem())
+        .collect();
+    for (k, &i) in mem.iter().enumerate() {
+        for &j in &mem[k + 1..] {
+            let (a_store, a_bank, a_addr) = access(&body.ops[i].kind);
+            let (b_store, b_bank, b_addr) = access(&body.ops[j].kind);
+            let distinct_constants = matches!(
+                (a_addr, b_addr),
+                (AddrMode::Absolute(x), AddrMode::Absolute(y)) if x != y
+            );
+            if (a_store || b_store) && a_bank == b_bank && !distinct_constants {
+                edges.push(edge(i, j, 0, 1));
+            }
+        }
+    }
+    edges
+}
+
 /// Checks both graphs of one lowered body against the references;
 /// `scan` runs the full RecMII scan (see the module docs).
 fn check(label: &str, machine: &MachineConfig, body: &LoweredBody, clusters_used: u32, scan: bool) {
     let graphs = [
-        ("build", VopDeps::build(machine, body)),
-        ("build_renamed", VopDeps::build_renamed(machine, body)),
+        ("build", VopDeps::build(machine, body), false),
+        ("build_renamed", VopDeps::build_renamed(machine, body), true),
     ];
-    for (graph, deps) in &graphs {
+    for (graph, deps, renamed) in &graphs {
+        assert!(
+            deps.edges() == reference_edges(machine, body, *renamed),
+            "{label} {graph}: edges differ from the all-pairs construction"
+        );
         for e in deps.edges() {
             assert!(
                 e.distance > 0 || e.from < e.to,

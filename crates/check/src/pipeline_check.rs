@@ -49,23 +49,20 @@ pub struct ScheduleValidator;
 
 impl PipelineValidator for ScheduleValidator {
     fn validate(&self, unit: &CompilationUnit, _pass: &str) -> Vec<String> {
-        let (Some(lowered), Some(deps)) = (&unit.lowered, &unit.deps) else {
+        let (Some(machine), Some(lowered), Some(deps)) = (&unit.machine, &unit.lowered, &unit.deps)
+        else {
             // IR-level passes: nothing lowered yet to check.
             return Vec::new();
         };
         match &unit.schedule {
-            Some(ScheduleArtifact::List(ls)) => {
-                check_list_schedule(&unit.machine, lowered, deps, ls)
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect()
-            }
-            Some(ScheduleArtifact::Modulo(ms)) => {
-                check_modulo_schedule(&unit.machine, lowered, deps, ms)
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect()
-            }
+            Some(ScheduleArtifact::List(ls)) => check_list_schedule(machine, lowered, deps, ls)
+                .iter()
+                .map(|v| v.to_string())
+                .collect(),
+            Some(ScheduleArtifact::Modulo(ms)) => check_modulo_schedule(machine, lowered, deps, ms)
+                .iter()
+                .map(|v| v.to_string())
+                .collect(),
             Some(ScheduleArtifact::Sequential { .. }) | None => Vec::new(),
         }
     }
@@ -117,7 +114,7 @@ mod tests {
 
     #[test]
     fn validator_is_silent_before_lowering() {
-        let unit = CompilationUnit::new(sum_kernel(), models::i4c8s4());
+        let unit = CompilationUnit::new(sum_kernel());
         assert!(ScheduleValidator.validate(&unit, "cse").is_empty());
     }
 }

@@ -72,9 +72,10 @@ impl std::error::Error for ReserveError {}
 ///
 /// Every constraint is either an occupancy flag on a fixed (cluster,
 /// slot) or a per-cycle count against a capacity, so any subset of a set
-/// of operations that reserved together reserves again, in any order.
-/// The modulo scheduler relies on this to rebuild a row after evicting
-/// from it.
+/// of operations that reserved together reserves again, in any order,
+/// and [`CycleReservation::release`] undoes one reservation exactly:
+/// the cycle is left as if the others alone had reserved. The modulo
+/// scheduler evicts from its rows that way.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CycleReservation {
     clusters: u32,
@@ -130,14 +131,6 @@ impl CycleReservation {
                 .cluster
                 .slots_for(class)
                 .any(|slot| !self.slot_busy(cluster, slot))
-    }
-
-    /// Empties the reservation, keeping its storage: the cycle accepts
-    /// everything a fresh [`CycleReservation::new`] would.
-    pub fn clear(&mut self) {
-        self.slot_used.fill(false);
-        self.xfer_used.fill(0);
-        self.bank_used.fill(0);
     }
 
     /// Crossbar ports still free on a cluster.
@@ -228,6 +221,37 @@ impl CycleReservation {
         let idx = self.slot_index(cluster, slot);
         self.slot_used[idx] = true;
         Ok(())
+    }
+
+    /// Gives back what a successful [`CycleReservation::try_reserve`] of
+    /// `op` took: its slot, its crossbar ports and its bank access. The
+    /// cycle then holds exactly the other operations' reservations.
+    ///
+    /// `op` must be reserved in this cycle and not yet released; an
+    /// operation that was never reserved corrupts the accounting.
+    pub fn release(&mut self, op: &Operation) {
+        if op.fu_class().is_none() {
+            return; // a nop reserved nothing
+        }
+        let cluster = op.cluster;
+        match &op.kind {
+            OpKind::Xfer { from, .. } => {
+                self.xfer_used[cluster as usize] -= 1;
+                if *from != cluster {
+                    self.xfer_used[*from as usize] -= 1;
+                }
+            }
+            OpKind::Load { bank, .. }
+            | OpKind::Store { bank, .. }
+            | OpKind::MemCtl { bank, .. } => {
+                self.bank_used
+                    [cluster as usize * self.banks_per_cluster as usize + bank.index()] -= 1;
+            }
+            _ => {}
+        }
+        let idx = self.slot_index(cluster, op.slot);
+        debug_assert!(self.slot_used[idx], "released an unreserved slot");
+        self.slot_used[idx] = false;
     }
 }
 
@@ -522,6 +546,71 @@ mod tests {
             }] = true;
         }
         assert!(seen.iter().all(|&s| s), "every variant is covered");
+    }
+
+    fn st(cluster: ClusterId, slot: SlotId, bank: u8) -> Operation {
+        Operation::new(
+            cluster,
+            slot,
+            OpKind::Store {
+                src: Operand::Reg(Reg(1)),
+                addr: AddrMode::Register(Reg(0)),
+                bank: MemBank(bank),
+            },
+        )
+    }
+
+    /// Every set of operations that reserves together in one cycle, on
+    /// every paper model and the dual-ported ablation: releasing any one
+    /// of them leaves the cycle equal to reserving the others alone.
+    /// The menu covers every slot of cluster 0, its control slot, and
+    /// slot 0 of cluster 1, with loads and stores on every bank (so
+    /// per-slot banking and dual ports bind) and transfers into each
+    /// from the other and from cluster 2 (so both crossbar sides count).
+    #[test]
+    fn release_undoes_one_reservation_exactly() {
+        let mut machines = models::all_models();
+        machines.push(models::i4c8s4_dualport());
+        for m in &machines {
+            let slots = m.cluster.slot_count() as SlotId;
+            let banks = m.cluster.banks.len() as u8;
+            let mut menu = vec![br(0, slots)];
+            for (cluster, slot) in (0..slots).map(|s| (0, s)).chain([(1, 0)]) {
+                menu.push(add(cluster, slot));
+                for bank in 0..banks {
+                    menu.push(ld(cluster, slot, bank));
+                    menu.push(st(cluster, slot, bank));
+                }
+                menu.push(xfer(cluster, slot, 1 - cluster));
+                menu.push(xfer(cluster, slot, 2));
+            }
+            // Depth-first over the menu's index-ordered subsets that
+            // reserve together; each is checked once.
+            let mut sets = 0;
+            let mut stack = vec![(Vec::<usize>::new(), CycleReservation::new(m))];
+            while let Some((set, resv)) = stack.pop() {
+                for (k, &drop) in set.iter().enumerate() {
+                    let mut released = resv.clone();
+                    released.release(&menu[drop]);
+                    let mut rest = CycleReservation::new(m);
+                    for &i in set.iter().filter(|&&i| i != drop) {
+                        rest.try_reserve(m, &menu[i]).unwrap();
+                    }
+                    assert_eq!(released, rest, "{}: releasing item {k} of {set:?}", m.name);
+                }
+                sets += 1;
+                let next = set.last().map_or(0, |&i| i + 1);
+                for (i, op) in menu.iter().enumerate().skip(next) {
+                    let mut grown = resv.clone();
+                    if grown.try_reserve(m, op).is_ok() {
+                        let mut set = set.clone();
+                        set.push(i);
+                        stack.push((set, grown));
+                    }
+                }
+            }
+            assert!(sets > menu.len(), "{}: {sets} sets", m.name);
+        }
     }
 
     #[test]

@@ -16,12 +16,16 @@
 //! catalog was hand-tuned for the seven paper models; on foreign
 //! machines individual recipes may fail, which the paper machinery
 //! reports by panicking — the driver confines each point's evaluation
-//! and counts the casualties (`eval_failures`) instead of dying.
+//! and counts the casualties (`eval_failures`) instead of dying. Only
+//! those confined panics are kept quiet: a panic anywhere else, on any
+//! thread, reaches the panic hook as it would without a search.
 
 use crate::pareto;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Once;
 use vsp_core::{validate_config, MachineConfig, MachineParams};
-use vsp_kernels::variants::{table1_rows, KernelId, Row};
+use vsp_kernels::variants::{compile_counts, table1_rows, KernelId, Row};
 use vsp_metrics::{NullRecorder, Recorder};
 use vsp_sched::CompileShape;
 use vsp_vlsi::feasibility::{assess, FeasibilityEnvelope, PruneReason};
@@ -140,8 +144,35 @@ fn best_cycles(rows: &[Row], kernel: KernelId) -> Option<u64> {
         .min()
 }
 
+thread_local! {
+    /// Set while this thread evaluates a machine, whose panics
+    /// [`evaluate_machine`] catches and counts.
+    static CONFINED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f`, catching its panic quietly: the process's panic hook stays
+/// silent for it. Once per process this wraps the installed hook in one
+/// that skips the panics raised inside such a call and passes every
+/// other panic, on any thread, to the hook it wrapped.
+fn catch_quietly<T>(f: impl FnOnce() -> T) -> Option<T> {
+    static WRAP: Once = Once::new();
+    WRAP.call_once(|| {
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !CONFINED.with(Cell::get) {
+                hook(info);
+            }
+        }));
+    });
+    let outer = CONFINED.with(|c| c.replace(true));
+    let result = catch_unwind(AssertUnwindSafe(f));
+    CONFINED.with(|c| c.set(outer));
+    result.ok()
+}
+
 /// Evaluates one priced machine on the six-kernel suite. `None` when
-/// the strategy catalog cannot compile the suite for this shape.
+/// the strategy catalog cannot compile the suite for this shape (the
+/// failing recipe's panic is caught without a message).
 pub fn evaluate_machine(
     machine: &MachineConfig,
     params: Option<MachineParams>,
@@ -149,7 +180,7 @@ pub fn evaluate_machine(
     area_mm2: f64,
     power_watts: f64,
 ) -> Option<EvaluatedPoint> {
-    let rows = catch_unwind(AssertUnwindSafe(|| table1_rows(machine))).ok()?;
+    let rows = catch_quietly(|| table1_rows(machine))?;
     let order = [
         KernelId::FullSearch,
         KernelId::ThreeStep,
@@ -215,14 +246,21 @@ pub fn search(grid: &[MachineParams], config: &SearchConfig) -> SearchReport {
 
 /// [`search`] with a metrics recorder: emits the `vsp_dse_*` series
 /// (points enumerated/pruned/evaluated, failures, distinct compile
-/// shapes among the survivors, frontier size, throughput, plane
-/// verifications).
+/// shapes among the survivors, the compile stages run, frontier size,
+/// throughput, plane verifications).
+///
+/// `vsp_dse_compiles_total{stage="passes"}` and `{stage="schedule"}`
+/// count the IR-pass and backend runs of the process-wide compile memo
+/// ([`vsp_kernels::variants::compile_counts`]) while the search ran; in
+/// a process that compiles nothing else, each distinct (kernel, passes)
+/// pair and each distinct schedule counts once.
 pub fn search_recorded<R: Recorder>(
     grid: &[MachineParams],
     config: &SearchConfig,
     recorder: &mut R,
 ) -> SearchReport {
     let watch = std::time::Instant::now();
+    let compiled_before = compile_counts();
     let enumerated = grid.len();
 
     // Stage 1+2: structural validation, then megacell pricing against
@@ -254,8 +292,7 @@ pub fn search_recorded<R: Recorder>(
     // each group runs on one worker: no two workers compile the same
     // shape at once, and all but a group's first survivor reuse its
     // schedules. Panics from inapplicable catalog recipes are confined
-    // per point; silence the default hook's backtrace spam for the
-    // duration (restored before returning).
+    // per point, without a message (`evaluate_machine`).
     let mut groups: Vec<(CompileShape, Vec<usize>)> = Vec::new();
     for (i, (_, m, ..)) in survivors.iter().enumerate() {
         let shape = CompileShape::of(m);
@@ -266,8 +303,6 @@ pub fn search_recorded<R: Recorder>(
     }
     let compile_shapes = groups.len();
     let survivors = &survivors;
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
     let evaluated: Vec<Vec<(usize, Option<EvaluatedPoint>)>> = crate::par_map(
         groups,
         || (),
@@ -281,7 +316,7 @@ pub fn search_recorded<R: Recorder>(
                 .collect()
         },
     );
-    std::panic::set_hook(hook);
+    let compiled = compile_counts();
     let mut in_grid_order: Vec<Option<EvaluatedPoint>> = vec![None; feasible];
     for (i, point) in evaluated.into_iter().flatten() {
         in_grid_order[i] = point;
@@ -315,6 +350,16 @@ pub fn search_recorded<R: Recorder>(
         recorder.add("vsp_dse_points_evaluated_total", &[], points.len() as u64);
         recorder.add("vsp_dse_eval_failures_total", &[], eval_failures as u64);
         recorder.gauge("vsp_dse_compile_shapes", &[], compile_shapes as f64);
+        recorder.add(
+            "vsp_dse_compiles_total",
+            &[("stage", "passes")],
+            compiled.passes - compiled_before.passes,
+        );
+        recorder.add(
+            "vsp_dse_compiles_total",
+            &[("stage", "schedule")],
+            compiled.schedules - compiled_before.schedules,
+        );
         for v in &verified {
             recorder.add("vsp_dse_verified_total", &[("tier", v.tier)], 1);
         }

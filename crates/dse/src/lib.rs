@@ -16,8 +16,8 @@
 //! * [`verify`] — executed spot-checks: frontier designs run a
 //!   code-generated kernel through [`vsp_exec::evaluate`], functional
 //!   tier first with the simulator as fallback;
-//! * [`par_map`] — the std-only parallel map the evaluate stage (and
-//!   `vsp-bench`'s table engine) runs on.
+//! * [`par_map`] — the std-only parallel map the evaluate stage, the
+//!   frontier spot-checks (and `vsp-bench`'s table engine) run on.
 //!
 //! The golden tests pin the seven paper models — priced and evaluated
 //! through the identical pipeline — to the published Table 1/2 shape,

@@ -56,35 +56,46 @@ fn sad_program(machine: &MachineConfig) -> Option<vsp_isa::Program> {
     Some(generated.program)
 }
 
-/// Runs up to `limit` of `points` through [`vsp_exec::evaluate`].
-/// Points the code generator cannot target are skipped (the cycle
+/// Runs the first `limit` of `points` that verify through
+/// [`vsp_exec::evaluate`], in parallel. Points without grid parameters,
+/// or that the code generator cannot target, are skipped (the cycle
 /// evidence then rests on the scheduler alone, which the report shows
 /// by the point's absence here).
+///
+/// Each round checks, side by side, as many of the next points as
+/// results are still missing, so the result is the same first `limit`
+/// successes, in input order, that one point after another would give.
 pub fn verify_points<'a>(
-    points: impl Iterator<Item = &'a EvaluatedPoint>,
+    mut points: impl Iterator<Item = &'a EvaluatedPoint>,
     limit: usize,
 ) -> Vec<Verification> {
     let mut out = Vec::new();
-    for point in points {
-        if out.len() >= limit {
+    while out.len() < limit {
+        let round: Vec<&EvaluatedPoint> = points.by_ref().take(limit - out.len()).collect();
+        if round.is_empty() {
             break;
         }
-        let Some(params) = point.params else { continue };
-        let machine = params.build();
-        let Some(program) = sad_program(&machine) else {
-            continue;
-        };
-        let Ok((tier, outcome)) = vsp_exec::evaluate(&machine, &program, 1_000_000) else {
-            continue;
-        };
-        out.push(Verification {
-            name: point.name.clone(),
-            tier,
-            cycles: outcome.cycles,
-            halted: outcome.state.halted,
-        });
+        out.extend(
+            crate::par_map(round, || (), |(), p| verify(p))
+                .into_iter()
+                .flatten(),
+        );
     }
     out
+}
+
+/// Code-generates and runs one point's verification program; `None`
+/// when either step cannot target it.
+fn verify(point: &EvaluatedPoint) -> Option<Verification> {
+    let machine = point.params?.build();
+    let program = sad_program(&machine)?;
+    let (tier, outcome) = vsp_exec::evaluate(&machine, &program, 1_000_000).ok()?;
+    Some(Verification {
+        name: point.name.clone(),
+        tier,
+        cycles: outcome.cycles,
+        halted: outcome.state.halted,
+    })
 }
 
 #[cfg(test)]

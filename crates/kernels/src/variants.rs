@@ -16,11 +16,17 @@
 //! all machines and variants — so every *difference* between rows and
 //! machines comes out of the real scheduling pipeline.
 //!
-//! Compilation sees only a machine's [`CompileShape`], so schedules are
-//! memoized per shape for the whole process: a design search evaluating
-//! a thousand survivors of a few dozen shapes compiles each recipe once
-//! per shape, while row composition (replication over the machine's own
-//! clusters, transpose latency) stays per machine.
+//! Compilation runs in two stages ([`vsp_sched::transform`], then
+//! [`vsp_sched::lower_and_schedule`]), and each is memoized for the whole
+//! process by what it reads. The IR passes read only the kernel and the
+//! recipe's passes, so each (kernel, passes) pair is transformed once;
+//! lowering and scheduling read only the transformed kernel, the
+//! recipe's backend and the machine's [`CompileShape`], so each such
+//! triple is scheduled once. A design search evaluating a thousand
+//! survivors of a few dozen shapes thus transforms each kernel once and
+//! schedules it once per shape, while row composition (replication over
+//! the machine's own clusters, transpose latency) stays per machine.
+//! [`compile_counts`] reports how often each stage ran.
 
 use crate::frame::{CCIR601, FULL_SEARCH_POSITIONS, THREE_STEP_POSITIONS};
 use crate::ir::{
@@ -32,11 +38,15 @@ use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use vsp_core::{models, MachineConfig};
 use vsp_ir::Kernel;
 use vsp_sched::cost::simd_cycles;
-use vsp_sched::{compile, CompileShape, ScheduleSummary, Strategy};
+use vsp_sched::{
+    lower_and_schedule, transform, CompileOptions, CompileShape, LoopControlMode, PassConfig,
+    PipelineReport, SchedError, ScheduleScope, ScheduleSummary, SchedulerChoice, Strategy,
+};
 
 /// The six kernels of §3.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -122,12 +132,167 @@ fn three_step_jobs() -> u64 {
     CCIR601.macroblocks() * THREE_STEP_POSITIONS
 }
 
-/// The process-wide compile memo: per [`CompileShape`], the schedule
-/// summary of every (kernel, strategy) compiled for it, keyed by a
-/// content fingerprint of the pair. Only successful compiles enter it.
-type CompileMemo = HashMap<CompileShape, HashMap<u64, ScheduleSummary>>;
+/// One key's once-cell: the value is computed at most once while it
+/// succeeds. The first caller computes it while later callers of the
+/// same key wait, and callers of other keys go ahead. A failure fills
+/// nothing, so the next caller computes (and reports) it again.
+struct MemoCell<V>(Mutex<Option<V>>);
+
+impl<V: Clone> MemoCell<V> {
+    fn get_or_try(&self, compute: impl FnOnce() -> Result<V, SchedError>) -> Result<V, SchedError> {
+        // A panicking computation fills nothing, so a poisoned cell is
+        // still valid.
+        let mut slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(v) = &*slot {
+            return Ok(v.clone());
+        }
+        let v = compute()?;
+        *slot = Some(v.clone());
+        Ok(v)
+    }
+}
+
+impl<V> Default for MemoCell<V> {
+    fn default() -> Self {
+        MemoCell(Mutex::new(None))
+    }
+}
+
+/// What lowering and scheduling read besides the transformed kernel:
+/// the machine's shape and the recipe's backend.
+type BackendKey = (
+    CompileShape,
+    ScheduleScope,
+    SchedulerChoice,
+    LoopControlMode,
+);
+
+/// One (kernel, passes) pair's compile work: its transformed kernel and,
+/// per backend key, the schedule summary.
+#[derive(Default)]
+struct Compiled {
+    transformed: MemoCell<Arc<Kernel>>,
+    schedules: Mutex<HashMap<BackendKey, Arc<MemoCell<ScheduleSummary>>>>,
+}
+
+/// A kernel as a memo key: compared by value (by address first, since
+/// the rows pass the same [`Catalog`] kernel every time), hashed once.
+#[derive(Debug, Clone)]
+struct KernelKey {
+    kernel: Arc<Kernel>,
+    hash: u64,
+}
+
+impl KernelKey {
+    fn new(kernel: Kernel) -> KernelKey {
+        let mut hasher = DefaultHasher::new();
+        kernel.hash(&mut hasher);
+        KernelKey {
+            kernel: Arc::new(kernel),
+            hash: hasher.finish(),
+        }
+    }
+}
+
+impl Hash for KernelKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl PartialEq for KernelKey {
+    fn eq(&self, other: &KernelKey) -> bool {
+        Arc::ptr_eq(&self.kernel, &other.kernel)
+            || (self.hash == other.hash && self.kernel == other.kernel)
+    }
+}
+
+impl Eq for KernelKey {}
+
+/// A kernel the rows compile. Each is built once per process: the rows
+/// of every machine compile the same few kernels, and rebuilding and
+/// rehashing them cost more than a memo hit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Catalog {
+    /// [`sad_16x16_kernel`].
+    Sad,
+    /// [`sad_blocked_group_kernel`] of the given group.
+    SadBlocked(u32),
+    /// [`dct1d_kernel`] with wide inputs.
+    DctPass,
+    /// A pre-unrolled 1-D pass ([`unrolled_pass`]).
+    DctUnrolled { narrow: bool, opt: bool },
+    /// [`dct_direct_mac_kernel`].
+    Mac,
+    /// [`color_quad_kernel`] over the given strip of quads.
+    Color(u32),
+    /// [`vbr_block_kernel`].
+    Vbr,
+}
+
+impl Catalog {
+    /// The kernel, built once per process.
+    fn kernel(self) -> KernelKey {
+        static BUILT: OnceLock<Mutex<HashMap<Catalog, KernelKey>>> = OnceLock::new();
+        let built = BUILT.get_or_init(Mutex::default);
+        let mut built = built.lock().unwrap_or_else(PoisonError::into_inner);
+        let build = || match self {
+            Catalog::Sad => sad_16x16_kernel().kernel,
+            Catalog::SadBlocked(group) => sad_blocked_group_kernel(group).kernel,
+            Catalog::DctPass => dct1d_kernel(false).kernel,
+            Catalog::DctUnrolled { narrow, opt } => {
+                crate::ir::dct::dct1d_const_kernel(narrow, !opt).kernel
+            }
+            Catalog::Mac => dct_direct_mac_kernel().kernel,
+            Catalog::Color(quads) => color_quad_kernel(quads).kernel,
+            Catalog::Vbr => vbr_block_kernel().kernel,
+        };
+        built
+            .entry(self)
+            .or_insert_with(|| KernelKey::new(build()))
+            .clone()
+    }
+}
+
+/// The process-wide compile memo, keyed by value: by the passes, then
+/// the kernel before them.
+type CompileMemo = HashMap<Vec<PassConfig>, HashMap<KernelKey, Arc<Compiled>>>;
 
 static COMPILE_MEMO: OnceLock<Mutex<CompileMemo>> = OnceLock::new();
+static PASSES_RUN: AtomicU64 = AtomicU64::new(0);
+static SCHEDULES_RUN: AtomicU64 = AtomicU64::new(0);
+
+/// How often this process ran each compile stage for the Table 1 rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CompileCounts {
+    /// IR-pass runs ([`vsp_sched::transform`]): one per distinct
+    /// (kernel, passes) pair.
+    pub passes: u64,
+    /// Backend runs ([`vsp_sched::lower_and_schedule`]): one per
+    /// distinct (transformed kernel, backend, [`CompileShape`]), plus one
+    /// per compile outside its shape's domain or failing.
+    pub schedules: u64,
+}
+
+/// The compile stages this process has run for Table 1 rows so far.
+pub fn compile_counts() -> CompileCounts {
+    CompileCounts {
+        passes: PASSES_RUN.load(Ordering::Relaxed),
+        schedules: SCHEDULES_RUN.load(Ordering::Relaxed),
+    }
+}
+
+/// The memo entry of (`kernel`, `passes`), created on first use. The
+/// lock guards only lookups and inserts, never a compile.
+fn compiled(kernel: &KernelKey, passes: &[PassConfig]) -> Arc<Compiled> {
+    let memo = COMPILE_MEMO.get_or_init(Mutex::default);
+    let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
+    let by_kernel = match memo.get_mut(passes) {
+        Some(by_kernel) => by_kernel,
+        None => memo.entry(passes.to_vec()).or_default(),
+    };
+    Arc::clone(by_kernel.entry(kernel.clone()).or_default())
+}
 
 thread_local! {
     /// Set while [`table1_recipes`] collects the compiles of one machine.
@@ -163,51 +328,93 @@ pub fn table1_recipes(machine: &MachineConfig) -> Vec<Recipe> {
     RECIPES.with(|r| r.borrow_mut().take().unwrap_or_default())
 }
 
+impl Recipe {
+    /// The recipe's schedule summary, compiled through the process-wide
+    /// memo (see the [module docs](self)): the same summary
+    /// [`vsp_sched::compile`] returns.
+    ///
+    /// # Errors
+    ///
+    /// The compile's [`SchedError`]; failures never enter the memo.
+    pub fn summary(&self) -> Result<ScheduleSummary, SchedError> {
+        let kernel = KernelKey::new(self.kernel.clone());
+        summary(&self.machine, &kernel, &self.strategy)
+    }
+}
+
+/// [`Recipe::summary`] over borrowed parts. A compile outside its
+/// shape's domain ([`CompileShape::determines`]) reuses the transformed
+/// kernel but schedules without the memo.
+fn summary(
+    machine: &MachineConfig,
+    key: &KernelKey,
+    strategy: &Strategy,
+) -> Result<ScheduleSummary, SchedError> {
+    let kernel = &key.kernel;
+    let compiled = compiled(key, &strategy.passes);
+    let transformed = compiled.transformed.get_or_try(|| {
+        PASSES_RUN.fetch_add(1, Ordering::Relaxed);
+        let options = &mut CompileOptions::default();
+        transform(
+            kernel,
+            &strategy.passes,
+            options,
+            &mut PipelineReport::default(),
+        )
+    })?;
+    let schedule = || {
+        SCHEDULES_RUN.fetch_add(1, Ordering::Relaxed);
+        let options = &mut CompileOptions::default();
+        lower_and_schedule(
+            transformed.clone(),
+            machine,
+            strategy,
+            options,
+            PipelineReport::default(),
+        )
+        .map(|result| result.summary())
+    };
+    if !CompileShape::determines(machine, kernel, strategy) {
+        return schedule();
+    }
+    let key = (
+        CompileShape::of(machine),
+        strategy.scope,
+        strategy.scheduler,
+        strategy.loop_control,
+    );
+    let cell = {
+        let mut schedules = compiled
+            .schedules
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(schedules.entry(key).or_default())
+    };
+    cell.get_or_try(schedule)
+}
+
 /// Runs a catalog [`Strategy`] over a kernel through the unified
-/// pipeline ([`vsp_sched::compile`]); every row below goes through
-/// here, so the whole table derives from declarative recipes.
-///
-/// Machines of one [`CompileShape`] get identical schedules, so each
-/// (kernel, strategy, shape) compiles once per process and later calls
-/// reuse its [`ScheduleSummary`]. The memo lock is never held across a
-/// compile, and a failing recipe panics without entering the memo.
-fn run(machine: &MachineConfig, kernel: &Kernel, strategy: &Strategy) -> ScheduleSummary {
+/// pipeline, memoized ([`Recipe::summary`]); every row below goes
+/// through here, so the whole table derives from declarative recipes.
+/// A failing recipe panics.
+fn run(machine: &MachineConfig, kernel: Catalog, strategy: &Strategy) -> ScheduleSummary {
+    let kernel = kernel.kernel();
     RECIPES.with(|r| {
         if let Some(recipes) = r.borrow_mut().as_mut() {
             recipes.push(Recipe {
                 machine: machine.clone(),
-                kernel: kernel.clone(),
+                kernel: (*kernel.kernel).clone(),
                 strategy: strategy.clone(),
             });
         }
     });
-    let compile_now = || {
-        compile(kernel, machine, strategy)
-            .unwrap_or_else(|e| panic!("recipe {} fails on {}: {e}", strategy.name, machine.name))
-            .summary()
-    };
-    if !CompileShape::determines(machine, kernel, strategy) {
-        return compile_now();
-    }
-    let shape = CompileShape::of(machine);
-    let mut hasher = DefaultHasher::new();
-    (kernel, strategy).hash(&mut hasher);
-    let key = hasher.finish();
-    let memo = COMPILE_MEMO.get_or_init(Mutex::default);
-    // Nothing under the lock can panic mid-update (a lookup, or one
-    // insert of a finished summary), so a poisoned memo is still valid.
-    let lock = || memo.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(&hit) = lock().get(&shape).and_then(|by_recipe| by_recipe.get(&key)) {
-        return hit;
-    }
-    let summary = compile_now();
-    lock().entry(shape).or_default().insert(key, summary);
-    summary
+    summary(machine, &kernel, strategy)
+        .unwrap_or_else(|e| panic!("recipe {} fails on {}: {e}", strategy.name, machine.name))
 }
 
 /// Sequential cycles of a whole kernel under a catalog recipe's
 /// transforms — the paper's "one operation per instruction" baseline.
-fn seq_cycles(machine: &MachineConfig, kernel: &Kernel, strategy: &Strategy) -> u64 {
+fn seq_cycles(machine: &MachineConfig, kernel: Catalog, strategy: &Strategy) -> u64 {
     run(machine, kernel, strategy)
         .seq_cycles()
         .expect("sequential recipes use the sequential backend")
@@ -230,26 +437,18 @@ fn simple_twin(machine: &MachineConfig) -> MachineConfig {
 /// Cycles for one SAD job under software pipelining of the row loop
 /// (the [`strategies::sad_pipelined`] recipe).
 fn sad_swp_job(machine: &MachineConfig) -> u64 {
-    run(
-        machine,
-        &sad_16x16_kernel().kernel,
-        &strategies::sad_pipelined(),
-    )
-    .loop_cycles()
-    .expect("first-loop modulo recipe")
+    run(machine, Catalog::Sad, &strategies::sad_pipelined())
+        .loop_cycles()
+        .expect("first-loop modulo recipe")
         + POS_OVERHEAD_PAR
 }
 
 /// Cycles for one SAD job with both loops unrolled (single pipeline
 /// fill; the [`strategies::sad_flattened`] recipe).
 fn sad_flat_job(machine: &MachineConfig) -> u64 {
-    run(
-        machine,
-        &sad_16x16_kernel().kernel,
-        &strategies::sad_flattened(),
-    )
-    .length()
-    .expect("whole-body list recipe")
+    run(machine, Catalog::Sad, &strategies::sad_flattened())
+        .length()
+        .expect("whole-body list recipe")
         + POS_OVERHEAD_PAR
 }
 
@@ -260,7 +459,7 @@ fn sad_flat_job(machine: &MachineConfig) -> u64 {
 fn sad_blocked_job(machine: &MachineConfig, group: u32) -> (u64, u64) {
     let r = run(
         machine,
-        &sad_blocked_group_kernel(group).kernel,
+        Catalog::SadBlocked(group),
         &strategies::sad_blocked(),
     );
     // II covers two groups per initiation.
@@ -284,11 +483,7 @@ fn motion_rows(
     // Sequential–predicated: rolled loops, pointer-increment addressing
     // (machine-independent, as in the paper).
     let seq_machine = simple_twin(machine);
-    let seq = seq_cycles(
-        &seq_machine,
-        &sad_16x16_kernel().kernel,
-        &strategies::sequential(),
-    ) + pos_seq;
+    let seq = seq_cycles(&seq_machine, Catalog::Sad, &strategies::sequential()) + pos_seq;
     rows.push(Row {
         kernel,
         variant: "Sequential-predicated",
@@ -299,7 +494,7 @@ fn motion_rows(
     // into complex addressing.
     let unrolled = seq_cycles(
         machine,
-        &sad_16x16_kernel().kernel,
+        Catalog::Sad,
         &strategies::unrolled_hoisted_sequential(),
     ) + pos_seq;
     rows.push(Row {
@@ -400,8 +595,8 @@ pub fn three_step_rows(machine: &MachineConfig) -> Vec<Row> {
 /// with full-precision wide multiplies. The CSE + strength-reduction
 /// cleanup lives in the [`strategies::cleanup_list`] /
 /// [`strategies::cleanup_pipelined`] recipes.
-fn unrolled_pass(narrow: bool, opt: bool) -> Kernel {
-    crate::ir::dct::dct1d_const_kernel(narrow, !opt).kernel
+fn unrolled_pass(narrow: bool, opt: bool) -> Catalog {
+    Catalog::DctUnrolled { narrow, opt }
 }
 
 /// Cycles for one 1-D pass: list-scheduled once, or the steady-state
@@ -412,12 +607,12 @@ fn dct_pass_cycles(machine: &MachineConfig, narrow: bool, opt: bool, swp_mode: b
     if swp_mode {
         // Steady state: one pass per II once the pipeline fills; the fill
         // amortizes across the block's 16 passes.
-        run(machine, &k, &strategies::cleanup_pipelined())
+        run(machine, k, &strategies::cleanup_pipelined())
             .cycles_for(16)
             .expect("modulo recipe")
             / 16
     } else {
-        run(machine, &k, &strategies::cleanup_list())
+        run(machine, k, &strategies::cleanup_list())
             .length()
             .expect("list recipe")
     }
@@ -429,7 +624,7 @@ fn dct_pass_cycles(machine: &MachineConfig, narrow: bool, opt: bool, swp_mode: b
 /// the crossbar between the row and column halves.
 fn dct_pass_wide_cycles(machine: &MachineConfig, narrow: bool, group: u32) -> u64 {
     let k = unrolled_pass(narrow, false);
-    let r = run(machine, &k, &strategies::cleanup_pipelined());
+    let r = run(machine, k, &strategies::cleanup_pipelined());
     let passes = 16u64.div_ceil(u64::from(group));
     let transpose = 16 * u64::from(machine.pipeline.xfer_latency);
     (r.cycles_for(passes).expect("modulo recipe") + transpose) / 16
@@ -445,11 +640,7 @@ pub fn dct_rowcol_rows(machine: &MachineConfig) -> Vec<Row> {
     // Residual samples exceed 8 bits, so both passes use wide multiplies
     // until the arithmetic optimization narrows the row pass.
     let per_block_seq =
-        16 * seq_cycles(
-            machine,
-            &dct1d_kernel(false).kernel,
-            &strategies::sequential(),
-        ) + BLOCK_OVERHEAD;
+        16 * seq_cycles(machine, Catalog::DctPass, &strategies::sequential()) + BLOCK_OVERHEAD;
     rows.push(Row {
         kernel,
         variant: "Sequential-unoptimized",
@@ -458,7 +649,7 @@ pub fn dct_rowcol_rows(machine: &MachineConfig) -> Vec<Row> {
 
     let unrolled_pass = seq_cycles(
         machine,
-        &dct1d_kernel(false).kernel,
+        Catalog::DctPass,
         &strategies::unrolled_sequential(),
     );
     rows.push(Row {
@@ -509,25 +700,25 @@ pub fn dct_direct_rows(machine: &MachineConfig) -> Vec<Row> {
     let blocks = CCIR601.blocks8();
     let clusters = u64::from(machine.clusters);
     let kernel = KernelId::DctDirect;
-    let mac = dct_direct_mac_kernel().kernel;
+    let mac = Catalog::Mac;
     let mut rows = Vec::new();
 
     // 64 output coefficients per block, each a full 64-term MAC loop.
-    let per_coeff_seq = seq_cycles(machine, &mac, &strategies::sequential());
+    let per_coeff_seq = seq_cycles(machine, mac, &strategies::sequential());
     rows.push(Row {
         kernel,
         variant: "Sequential-unoptimized",
         cycles: (64 * per_coeff_seq + BLOCK_OVERHEAD) * blocks,
     });
 
-    let per_coeff_unrolled = seq_cycles(machine, &mac, &strategies::unrolled_sequential());
+    let per_coeff_unrolled = seq_cycles(machine, mac, &strategies::unrolled_sequential());
     rows.push(Row {
         kernel,
         variant: "Unrolled inner loop",
         cycles: (64 * per_coeff_unrolled + BLOCK_OVERHEAD) * blocks,
     });
 
-    let per_coeff_list = run(machine, &mac, &strategies::mac_list())
+    let per_coeff_list = run(machine, mac, &strategies::mac_list())
         .loop_cycles()
         .expect("first-loop list recipe");
     rows.push(Row {
@@ -536,7 +727,7 @@ pub fn dct_direct_rows(machine: &MachineConfig) -> Vec<Row> {
         cycles: simd_cycles(64 * per_coeff_list + BLOCK_OVERHEAD, blocks, clusters),
     });
 
-    let per_coeff_swp = run(machine, &mac, &strategies::mac_pipelined())
+    let per_coeff_swp = run(machine, mac, &strategies::mac_pipelined())
         .loop_cycles()
         .expect("first-loop modulo recipe");
     rows.push(Row {
@@ -547,7 +738,7 @@ pub fn dct_direct_rows(machine: &MachineConfig) -> Vec<Row> {
 
     // Arithmetic optimization: drop the double-precision retention ops
     // (acc_hi path), keeping 16-bit accumulation.
-    let per_coeff_opt = run(machine, &mac, &strategies::mac_narrowed_pipelined())
+    let per_coeff_opt = run(machine, mac, &strategies::mac_narrowed_pipelined())
         .loop_cycles()
         .expect("first-loop modulo recipe");
     rows.push(Row {
@@ -558,7 +749,7 @@ pub fn dct_direct_rows(machine: &MachineConfig) -> Vec<Row> {
 
     // Unroll 2 levels & widen across 4 clusters.
     let group = 4u32.min(machine.clusters);
-    let per_coeff_wide = run(machine, &mac, &strategies::mac_widened(group))
+    let per_coeff_wide = run(machine, mac, &strategies::mac_widened(group))
         .length()
         .expect("whole-body list recipe");
     rows.push(Row {
@@ -584,10 +775,10 @@ pub fn color_rows(machine: &MachineConfig) -> Vec<Row> {
     let clusters = u64::from(machine.clusters);
     let kernel = KernelId::Color;
     let strip_quads = 8u32;
-    let base = color_quad_kernel(strip_quads).kernel;
+    let base = Catalog::Color(strip_quads);
     let mut rows = Vec::new();
 
-    let per_strip_seq = seq_cycles(machine, &base, &strategies::sequential());
+    let per_strip_seq = seq_cycles(machine, base, &strategies::sequential());
     rows.push(Row {
         kernel,
         variant: "Sequential",
@@ -597,14 +788,14 @@ pub fn color_rows(machine: &MachineConfig) -> Vec<Row> {
     // "Sequential–unrolled": boundary branches eliminated by unrolling;
     // the quad kernel is already branch-free, so the gain is the loop
     // overhead (matching the paper's modest 20% step).
-    let per_strip_unrolled = seq_cycles(machine, &base, &strategies::unrolled_sequential());
+    let per_strip_unrolled = seq_cycles(machine, base, &strategies::unrolled_sequential());
     rows.push(Row {
         kernel,
         variant: "Sequential-unrolled",
         cycles: per_strip_unrolled * quads / u64::from(strip_quads),
     });
 
-    let per_quad_list = run(machine, &base, &strategies::loop_list(1))
+    let per_quad_list = run(machine, base, &strategies::loop_list(1))
         .length()
         .expect("first-loop list recipe");
     rows.push(Row {
@@ -613,7 +804,7 @@ pub fn color_rows(machine: &MachineConfig) -> Vec<Row> {
         cycles: simd_cycles(per_quad_list, quads, clusters),
     });
 
-    let per_quad_swp = run(machine, &base, &strategies::loop_pipelined(1))
+    let per_quad_swp = run(machine, base, &strategies::loop_pipelined(1))
         .ii()
         .expect("first-loop modulo recipe");
     rows.push(Row {
@@ -643,8 +834,8 @@ pub fn vbr_rows(machine: &MachineConfig) -> Vec<Row> {
     let zero_fraction = 0.72;
 
     // Sequential with branches: zero path is short, nonzero path long.
-    let base = vbr_block_kernel().kernel;
-    let seq = seq_cycles(machine, &base, &strategies::sequential()) as f64;
+    let base = Catalog::Vbr;
+    let seq = seq_cycles(machine, base, &strategies::sequential()) as f64;
     // seq_cycles averages the two arms; re-weight by the zero fraction.
     let seq_weighted = seq * (zero_fraction * 0.55 + (1.0 - zero_fraction) * 1.45);
     rows.push(Row {
@@ -673,7 +864,7 @@ pub fn vbr_rows(machine: &MachineConfig) -> Vec<Row> {
     } else {
         2
     };
-    let per_coeff_list = run(machine, &base, &strategies::predicated_list(wide_clusters))
+    let per_coeff_list = run(machine, base, &strategies::predicated_list(wide_clusters))
         .length()
         .expect("first-loop list recipe");
     rows.push(Row {
@@ -692,7 +883,7 @@ pub fn vbr_rows(machine: &MachineConfig) -> Vec<Row> {
     // is the critical cycle.
     let per_coeff_swp = run(
         machine,
-        &base,
+        base,
         &strategies::predicated_pipelined(wide_clusters),
     )
     .ii()

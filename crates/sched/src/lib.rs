@@ -30,7 +30,9 @@
 //!   panic-free `try_`-prefixed scheduler entry points;
 //! * [`pipeline`] — the unified compilation pipeline: a typed [`Pass`]
 //!   over a [`CompilationUnit`], declarative [`Strategy`]
-//!   recipes, and the [`compile`] entry point every driver uses;
+//!   recipes, and the [`compile`] entry point every driver uses, run
+//!   as two stages: machine-independent IR passes ([`transform`]), then
+//!   lowering and scheduling on a machine ([`lower_and_schedule`]);
 //! * [`select`] — strategy admissibility for machines outside the
 //!   hand-tuned seven (design-space search);
 //! * [`shape`] — the [`CompileShape`]: the projection of a machine the
@@ -62,9 +64,9 @@ pub use lower::{lower_body, ArrayLayout, LowerError};
 pub use mii::{min_ii_from, rec_mii, res_mii};
 pub use modulo::{modulo_schedule, modulo_schedule_traced, try_modulo_schedule, ModuloSchedule};
 pub use pipeline::{
-    compile, compile_with, CompilationUnit, CompileOptions, CompileResult, LoopControlMode, Pass,
-    PassConfig, Pipeline, PipelineReport, PipelineValidator, ScheduleArtifact, ScheduleScope,
-    ScheduleSummary, SchedulerChoice, Strategy,
+    compile, compile_with, lower_and_schedule, transform, CompilationUnit, CompileOptions,
+    CompileResult, LoopControlMode, Pass, PassConfig, Pipeline, PipelineReport, PipelineValidator,
+    ScheduleArtifact, ScheduleScope, ScheduleSummary, SchedulerChoice, Strategy,
 };
 pub use select::{admissible, clusters_claimed};
 pub use shape::CompileShape;

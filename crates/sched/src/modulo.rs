@@ -27,9 +27,10 @@
 //! The bookkeeping is incremental: one [`CycleReservation`] per row lives
 //! for the whole attempt and is probed in place (a failed probe leaves it
 //! unchanged, and a row with no free capable slot is rejected before any
-//! candidate is built), an eviction refills its row in place, dependence
-//! edges come from [`VopDeps`]' per-operation index, and the unplaced
-//! operations wait in a priority-ordered set.
+//! candidate is built), an eviction releases the operation from its row
+//! ([`CycleReservation::release`], the exact inverse of its reservation),
+//! dependence edges come from [`VopDeps`]' per-operation index, and the
+//! unplaced operations wait in a priority-ordered set.
 
 use crate::mii::{min_ii_from, res_mii};
 use crate::vop::{LoweredBody, VopDeps};
@@ -244,12 +245,14 @@ fn try_ii(
     // The modulo reservation table: row `r` holds exactly the operations
     // of `row_ops[r]`. A probe reserves in place only when it succeeds,
     // and that success is where the operation is placed; an eviction
-    // rebuilds the row it empties.
+    // releases the operation from its row.
     let mut mrt: Vec<CycleReservation> = (0..ii).map(|_| CycleReservation::new(machine)).collect();
     // The unplaced operations, most urgent first.
     let mut worklist: BTreeSet<(u32, Reverse<u32>, usize)> = (0..n).map(priority).collect();
     let xfer_lat = machine.pipeline.xfer_latency;
     let mut budget = 6 * n + 64;
+    // Scratch for the operations one placement evicts.
+    let (mut evictees, mut violated): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
 
     while let Some((_, _, i)) = worklist.pop_first() {
         if budget == 0 {
@@ -310,22 +313,23 @@ fn try_ii(
                     });
                 }
                 let row = (est % ii) as usize;
-                let evictees: Vec<usize> = row_ops[row]
-                    .iter()
-                    .copied()
-                    .filter(|&j| placements[j].map(|(pc, _)| pc) == Some(cluster))
-                    .collect();
-                for j in evictees {
+                evictees.clear();
+                evictees.extend(
+                    row_ops[row]
+                        .iter()
+                        .copied()
+                        .filter(|&j| placements[j].map(|(pc, _)| pc) == Some(cluster)),
+                );
+                for &j in &evictees {
                     if sink.enabled() {
                         sink.emit(TraceEvent::ModuloEvict {
                             evicted: j as u32,
                             by: i as u32,
                         });
                     }
-                    unplace(j, &mut times, &mut placements, &mut row_ops, ii);
+                    unplace(j, body, &mut times, &mut placements, &mut row_ops, &mut mrt);
                     worklist.insert(priority(j));
                 }
-                rebuild_row(machine, body, &row_ops[row], &placements, &mut mrt[row])?;
                 match find_slot(machine, &mut mrt[row], &body.ops[i], cluster) {
                     Some(slot) => (est, cluster, slot),
                     None => return None, // no capable slot exists at all
@@ -349,7 +353,7 @@ fn try_ii(
         }
 
         // Evict placed neighbors whose dependence constraints broke.
-        let mut violated: Vec<usize> = Vec::new();
+        violated.clear();
         for e in deps.succs(i) {
             if let (Some(ts), Some((cs, _))) = (times[e.to], placements[e.to]) {
                 let mut delay = i64::from(e.min_delay);
@@ -376,18 +380,17 @@ fn try_ii(
                 }
             }
         }
-        for j in violated {
+        for &j in &violated {
             // An op listed twice was already evicted.
-            let Some(row) = unplace(j, &mut times, &mut placements, &mut row_ops, ii) else {
+            if !unplace(j, body, &mut times, &mut placements, &mut row_ops, &mut mrt) {
                 continue;
-            };
+            }
             if sink.enabled() {
                 sink.emit(TraceEvent::ModuloEvict {
                     evicted: j as u32,
                     by: i as u32,
                 });
             }
-            rebuild_row(machine, body, &row_ops[row], &placements, &mut mrt[row])?;
             worklist.insert(priority(j));
         }
     }
@@ -407,51 +410,28 @@ fn try_ii(
     })
 }
 
-/// Takes `j` out of the schedule, returning the row it left (`None` if
-/// it was not placed).
+/// Takes `j` out of the schedule and releases its reservation from the
+/// row it held; `false` if it was not placed.
 fn unplace(
     j: usize,
+    body: &LoweredBody,
     times: &mut [Option<u32>],
     placements: &mut [Option<(ClusterId, SlotId)>],
     row_ops: &mut [Vec<usize>],
-    ii: u32,
-) -> Option<usize> {
-    let row = (times[j]? % ii) as usize;
+    mrt: &mut [CycleReservation],
+) -> bool {
+    let (Some(t), Some((cluster, slot))) = (times[j].take(), placements[j].take()) else {
+        return false;
+    };
+    let row = t as usize % mrt.len();
     row_ops[row].retain(|&x| x != j);
-    times[j] = None;
-    placements[j] = None;
-    Some(row)
-}
-
-/// Refills a modulo-reservation row, in place, from the operations still
-/// assigned to it, after an eviction. A row holds at most one operation
-/// per issue slot of the clusters in use, so this costs at most that many
-/// reservations; probes never rebuild.
-///
-/// The operations reserved together once, and every constraint is an
-/// occupancy flag or a per-row count, so any subset of them reserves
-/// again. `None` would mean that invariant broke; it makes this II
-/// attempt infeasible rather than the whole process panic.
-fn rebuild_row(
-    machine: &MachineConfig,
-    body: &LoweredBody,
-    ops: &[usize],
-    placements: &[Option<(ClusterId, SlotId)>],
-    resv: &mut CycleReservation,
-) -> Option<()> {
-    resv.clear();
-    for &j in ops {
-        if let Some((c, s)) = placements[j] {
-            let concrete = vsp_isa::Operation {
-                cluster: c,
-                slot: s,
-                guard: body.ops[j].guard,
-                kind: body.ops[j].kind.clone(),
-            };
-            resv.try_reserve(machine, &concrete).ok()?;
-        }
-    }
-    Some(())
+    mrt[row].release(&vsp_isa::Operation {
+        cluster,
+        slot,
+        guard: body.ops[j].guard,
+        kind: body.ops[j].kind.clone(),
+    });
+    true
 }
 
 /// Candidate clusters for an operation, preferring wherever its placed

@@ -23,6 +23,13 @@
 //! * [`compile`] / [`compile_with`] — the one entry point every driver
 //!   (`tables`, `trace`, `fuzz`, `faults`, `explore-strategies`) uses.
 //!
+//! A compile runs in two stages. [`transform`] applies the recipe's IR
+//! passes to the kernel and reads no machine; [`lower_and_schedule`]
+//! lowers the transformed kernel and schedules it on one. [`compile_with`]
+//! is the two run back to back, and a driver that compiles one kernel
+//! for many machines (`vsp_kernels::variants`) runs the first stage once
+//! per (kernel, passes) and the second once per machine shape.
+//!
 //! The sequential cost walk and the lowering recipe reproduce the
 //! pre-pipeline `vsp-kernels` row machinery exactly, so the emitted
 //! tables are byte-identical to their hand-wired ancestors (pinned by a
@@ -33,6 +40,7 @@ use crate::list::{list_schedule_traced, ListSchedule};
 use crate::lower::{lower_body, ArrayLayout};
 use crate::modulo::{modulo_schedule_traced, ModuloSchedule};
 use crate::vop::{LoweredBody, VopDeps};
+use std::sync::Arc;
 use vsp_core::MachineConfig;
 use vsp_ir::transform::{
     eliminate_common_subexpressions, fully_unroll_innermost, hoist_invariants, if_convert,
@@ -187,10 +195,12 @@ impl Strategy {
 /// by lowering and scheduling.
 #[derive(Debug, Clone)]
 pub struct CompilationUnit {
-    /// The kernel, rewritten in place by IR passes.
-    pub kernel: Kernel,
-    /// The machine being compiled for.
-    pub machine: MachineConfig,
+    /// The kernel, rewritten by IR passes (each copies it on write, so a
+    /// transformed kernel is shared with the units that lower it).
+    pub kernel: Arc<Kernel>,
+    /// The machine being compiled for: `None` through the IR passes,
+    /// which read none, and set by [`lower_and_schedule`].
+    pub machine: Option<MachineConfig>,
     /// Lowered virtual operations (set by the lowering pass).
     pub lowered: Option<LoweredBody>,
     /// Dependence graph over `lowered` (set by the lowering pass).
@@ -203,11 +213,12 @@ pub struct CompilationUnit {
 }
 
 impl CompilationUnit {
-    /// A fresh unit: kernel + machine, no artifacts yet.
-    pub fn new(kernel: Kernel, machine: MachineConfig) -> CompilationUnit {
+    /// A fresh unit for the IR passes: the kernel, no machine and no
+    /// artifacts yet.
+    pub fn new(kernel: Kernel) -> CompilationUnit {
         CompilationUnit {
-            kernel,
-            machine,
+            kernel: Arc::new(kernel),
+            machine: None,
             lowered: None,
             deps: None,
             scheduled_trip: None,
@@ -314,13 +325,15 @@ impl Pass for UnrollPass {
     fn run(&self, unit: &mut CompilationUnit, _sink: &mut dyn TraceSink) -> Result<(), SchedError> {
         match self.factor {
             Some(f) => {
-                try_unroll_innermost(&mut unit.kernel, f).map_err(|e| SchedError::Pipeline {
-                    pass: "unroll",
-                    detail: e.to_string(),
+                try_unroll_innermost(Arc::make_mut(&mut unit.kernel), f).map_err(|e| {
+                    SchedError::Pipeline {
+                        pass: "unroll",
+                        detail: e.to_string(),
+                    }
                 })?;
             }
             None => {
-                fully_unroll_innermost(&mut unit.kernel);
+                fully_unroll_innermost(Arc::make_mut(&mut unit.kernel));
             }
         }
         Ok(())
@@ -337,7 +350,7 @@ impl Pass for IfConvertPass {
         PipelinePass::IfConvert
     }
     fn run(&self, unit: &mut CompilationUnit, _sink: &mut dyn TraceSink) -> Result<(), SchedError> {
-        if_convert(&mut unit.kernel);
+        if_convert(Arc::make_mut(&mut unit.kernel));
         Ok(())
     }
 }
@@ -352,7 +365,7 @@ impl Pass for CsePass {
         PipelinePass::Cse
     }
     fn run(&self, unit: &mut CompilationUnit, _sink: &mut dyn TraceSink) -> Result<(), SchedError> {
-        eliminate_common_subexpressions(&mut unit.kernel);
+        eliminate_common_subexpressions(Arc::make_mut(&mut unit.kernel));
         Ok(())
     }
 }
@@ -367,7 +380,7 @@ impl Pass for LicmPass {
         PipelinePass::Licm
     }
     fn run(&self, unit: &mut CompilationUnit, _sink: &mut dyn TraceSink) -> Result<(), SchedError> {
-        hoist_invariants(&mut unit.kernel);
+        hoist_invariants(Arc::make_mut(&mut unit.kernel));
         Ok(())
     }
 }
@@ -382,7 +395,7 @@ impl Pass for StrengthReducePass {
         PipelinePass::StrengthReduce
     }
     fn run(&self, unit: &mut CompilationUnit, _sink: &mut dyn TraceSink) -> Result<(), SchedError> {
-        reduce_strength(&mut unit.kernel);
+        reduce_strength(Arc::make_mut(&mut unit.kernel));
         Ok(())
     }
 }
@@ -399,7 +412,7 @@ impl Pass for StripVarsPass {
         PipelinePass::StripVars
     }
     fn run(&self, unit: &mut CompilationUnit, _sink: &mut dyn TraceSink) -> Result<(), SchedError> {
-        let kernel = &mut unit.kernel;
+        let kernel = Arc::make_mut(&mut unit.kernel);
         let hit: Vec<vsp_ir::VarId> = kernel
             .var_names
             .iter()
@@ -444,6 +457,7 @@ impl Pass for LowerPass {
         PipelinePass::Lower
     }
     fn run(&self, unit: &mut CompilationUnit, _sink: &mut dyn TraceSink) -> Result<(), SchedError> {
+        let machine = target(unit, "lower")?;
         let (body, trip): (&[Stmt], Option<u64>) = match self.scope {
             ScheduleScope::WholeBody => (&unit.kernel.body, None),
             ScheduleScope::FirstLoop => {
@@ -462,12 +476,12 @@ impl Pass for LowerPass {
                 (&l.body, Some(u64::from(l.trip)))
             }
         };
-        let layout = ArrayLayout::contiguous(&unit.kernel, &unit.machine)?;
-        let mut lowered = lower_body(&unit.machine, &unit.kernel, body, &layout)?;
+        let layout = ArrayLayout::contiguous(&unit.kernel, machine)?;
+        let mut lowered = lower_body(machine, &unit.kernel, body, &layout)?;
         if self.loop_control == LoopControlMode::Folded {
             append_loop_control(&mut lowered);
         }
-        let deps = VopDeps::build(&unit.machine, &lowered);
+        let deps = VopDeps::build(machine, &lowered);
         unit.scheduled_trip = trip;
         unit.lowered = Some(lowered);
         unit.deps = Some(deps);
@@ -487,52 +501,59 @@ impl Pass for SchedulePass {
         PipelinePass::Schedule
     }
     fn run(&self, unit: &mut CompilationUnit, sink: &mut dyn TraceSink) -> Result<(), SchedError> {
-        match self.choice {
-            SchedulerChoice::Sequential => {
-                let cycles = sequential_kernel_cycles(&unit.machine, &unit.kernel)?;
-                unit.schedule = Some(ScheduleArtifact::Sequential { cycles });
-            }
+        let machine = target(unit, "schedule")?;
+        let schedule = match self.choice {
+            SchedulerChoice::Sequential => ScheduleArtifact::Sequential {
+                cycles: sequential_kernel_cycles(machine, &unit.kernel)?,
+            },
             SchedulerChoice::List { clusters_used } => {
                 let (body, deps) = lowered_pair(unit)?;
-                let s = list_schedule_traced(&unit.machine, body, deps, clusters_used, sink)
-                    .ok_or_else(|| SchedError::Unschedulable {
+                let s = list_schedule_traced(machine, body, deps, clusters_used, sink).ok_or_else(
+                    || SchedError::Unschedulable {
                         scheduler: "list",
                         detail: format!(
                             "{} ops on {} across {clusters_used} cluster(s): \
                              some operation has no capable slot",
                             body.ops.len(),
-                            unit.machine.name
+                            machine.name
                         ),
-                    })?;
-                unit.schedule = Some(ScheduleArtifact::List(s));
+                    },
+                )?;
+                ScheduleArtifact::List(s)
             }
             SchedulerChoice::Modulo {
                 clusters_used,
                 ii_search,
             } => {
                 let (body, deps) = lowered_pair(unit)?;
-                let s = modulo_schedule_traced(
-                    &unit.machine,
-                    body,
-                    deps,
-                    clusters_used,
-                    ii_search,
-                    sink,
-                )
-                .ok_or_else(|| SchedError::Unschedulable {
-                    scheduler: "modulo",
-                    detail: format!(
-                        "{} ops on {} across {clusters_used} cluster(s): \
+                let s = modulo_schedule_traced(machine, body, deps, clusters_used, ii_search, sink)
+                    .ok_or_else(|| SchedError::Unschedulable {
+                        scheduler: "modulo",
+                        detail: format!(
+                            "{} ops on {} across {clusters_used} cluster(s): \
                          no feasible II within {ii_search} steps above MII",
-                        body.ops.len(),
-                        unit.machine.name
-                    ),
-                })?;
-                unit.schedule = Some(ScheduleArtifact::Modulo(s));
+                            body.ops.len(),
+                            machine.name
+                        ),
+                    })?;
+                ScheduleArtifact::Modulo(s)
             }
-        }
+        };
+        unit.schedule = Some(schedule);
         Ok(())
     }
+}
+
+/// The unit's target machine, or a pipeline-ordering error: only
+/// [`lower_and_schedule`] sets one.
+fn target<'u>(
+    unit: &'u CompilationUnit,
+    pass: &'static str,
+) -> Result<&'u MachineConfig, SchedError> {
+    unit.machine.as_ref().ok_or_else(|| SchedError::Pipeline {
+        pass,
+        detail: "the backend passes run only on a unit with a target machine".into(),
+    })
 }
 
 /// The lowered body + deps, or a pipeline-ordering error.
@@ -706,15 +727,17 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Builds the pipeline a [`Strategy`] describes: its IR passes in
-    /// order, then (for the list/modulo backends) the lowering pass,
-    /// then the scheduling pass.
-    pub fn from_strategy(strategy: &Strategy) -> Pipeline {
-        let mut passes: Vec<Box<dyn Pass>> = strategy
-            .passes
-            .iter()
-            .map(PassConfig::instantiate)
-            .collect();
+    /// The IR stage of a recipe: its passes, in order.
+    pub fn ir(passes: &[PassConfig]) -> Pipeline {
+        Pipeline {
+            passes: passes.iter().map(PassConfig::instantiate).collect(),
+        }
+    }
+
+    /// The backend stage a [`Strategy`] describes: (for the list/modulo
+    /// backends) the lowering pass, then the scheduling pass.
+    pub fn backend(strategy: &Strategy) -> Pipeline {
+        let mut passes: Vec<Box<dyn Pass>> = Vec::new();
         if !matches!(strategy.scheduler, SchedulerChoice::Sequential) {
             passes.push(Box::new(LowerPass {
                 scope: strategy.scope,
@@ -739,9 +762,10 @@ impl Pipeline {
 
     /// Runs every pass in order over `unit`.
     ///
-    /// After each pass the runner records a [`PassRecord`], emits a
-    /// [`TraceEvent::PassComplete`] into the options sink, and asks the
-    /// options validator to check the unit.
+    /// After each pass the runner appends a [`PassRecord`] to `report`,
+    /// emits a [`TraceEvent::PassComplete`] (numbered after the records
+    /// already in `report`) into the options sink, and asks the options
+    /// validator to check the unit.
     ///
     /// # Errors
     ///
@@ -751,10 +775,11 @@ impl Pipeline {
         &self,
         unit: &mut CompilationUnit,
         options: &mut CompileOptions<'_>,
-    ) -> Result<PipelineReport, SchedError> {
-        let mut report = PipelineReport::default();
+        report: &mut PipelineReport,
+    ) -> Result<(), SchedError> {
         let mut null = NullSink;
-        for (seq, pass) in self.passes.iter().enumerate() {
+        for pass in &self.passes {
+            let seq = report.passes.len();
             let before = (unit.stmt_count(), unit.vop_count());
             let watch = vsp_metrics::Stopwatch::start();
             {
@@ -812,7 +837,7 @@ impl Pipeline {
                 }
             }
         }
-        Ok(report)
+        Ok(())
     }
 }
 
@@ -820,7 +845,7 @@ impl Pipeline {
 #[derive(Debug, Clone)]
 pub struct CompileResult {
     /// The kernel after all IR passes.
-    pub kernel: Kernel,
+    pub kernel: Arc<Kernel>,
     /// Lowered scope body (absent for the sequential backend).
     pub lowered: Option<LoweredBody>,
     /// Dependence graph over `lowered`.
@@ -944,6 +969,65 @@ impl ScheduleSummary {
     }
 }
 
+/// The first stage of a compile: `passes` over `kernel`, in order. The
+/// IR passes read no machine, so their output serves every machine the
+/// kernel is compiled for.
+///
+/// Each pass runs with the options' sink, validator and recorder, and
+/// appends its record to `report`.
+///
+/// # Errors
+///
+/// A misconfigured pass ([`SchedError::Pipeline`]), or a validator
+/// rejection.
+pub fn transform(
+    kernel: &Kernel,
+    passes: &[PassConfig],
+    options: &mut CompileOptions<'_>,
+    report: &mut PipelineReport,
+) -> Result<Arc<Kernel>, SchedError> {
+    let mut unit = CompilationUnit::new(kernel.clone());
+    Pipeline::ir(passes).run(&mut unit, options, report)?;
+    Ok(unit.kernel)
+}
+
+/// The second stage of a compile: lowers a kernel [`transform`]ed by
+/// `strategy`'s passes and schedules it on `machine` with the strategy's
+/// backend, continuing `report`.
+///
+/// # Errors
+///
+/// Lowering failures, infeasible schedules, or a validator rejection.
+pub fn lower_and_schedule(
+    kernel: Arc<Kernel>,
+    machine: &MachineConfig,
+    strategy: &Strategy,
+    options: &mut CompileOptions<'_>,
+    mut report: PipelineReport,
+) -> Result<CompileResult, SchedError> {
+    let mut unit = CompilationUnit {
+        kernel,
+        machine: Some(machine.clone()),
+        lowered: None,
+        deps: None,
+        scheduled_trip: None,
+        schedule: None,
+    };
+    Pipeline::backend(strategy).run(&mut unit, options, &mut report)?;
+    let schedule = unit.schedule.ok_or_else(|| SchedError::Pipeline {
+        pass: "schedule",
+        detail: "pipeline finished without producing a schedule".into(),
+    })?;
+    Ok(CompileResult {
+        kernel: unit.kernel,
+        lowered: unit.lowered,
+        deps: unit.deps,
+        schedule,
+        scheduled_trip: unit.scheduled_trip,
+        report,
+    })
+}
+
 /// Compiles `kernel` for `machine` by running the strategy's pipeline.
 ///
 /// The single entry point behind every Table 1/Table 2 row, the trace
@@ -988,6 +1072,9 @@ pub fn compile(
 /// [`compile`] with hooks: a trace sink for per-pass and scheduler
 /// decision events, and an optional post-pass validator.
 ///
+/// Runs the two stages back to back: [`transform`], then
+/// [`lower_and_schedule`], every pass with the same hooks.
+///
 /// # Errors
 ///
 /// As [`compile`], plus [`SchedError::Pipeline`] when the validator
@@ -998,21 +1085,9 @@ pub fn compile_with(
     strategy: &Strategy,
     options: &mut CompileOptions<'_>,
 ) -> Result<CompileResult, SchedError> {
-    let pipeline = Pipeline::from_strategy(strategy);
-    let mut unit = CompilationUnit::new(kernel.clone(), machine.clone());
-    let report = pipeline.run(&mut unit, options)?;
-    let schedule = unit.schedule.ok_or_else(|| SchedError::Pipeline {
-        pass: "schedule",
-        detail: "pipeline finished without producing a schedule".into(),
-    })?;
-    let result = CompileResult {
-        kernel: unit.kernel,
-        lowered: unit.lowered,
-        deps: unit.deps,
-        schedule,
-        scheduled_trip: unit.scheduled_trip,
-        report,
-    };
+    let mut report = PipelineReport::default();
+    let transformed = transform(kernel, &strategy.passes, options, &mut report)?;
+    let result = lower_and_schedule(transformed, machine, strategy, options, report)?;
     if let Some(rec) = options.recorder.as_mut() {
         if rec.enabled() {
             let labels = [("strategy", strategy.name.as_str())];
@@ -1159,8 +1234,14 @@ mod tests {
             recorder: None,
         };
         compile_with(&k, &m, &s, &mut options).unwrap();
-        let passes = sink.count(|e| matches!(e, TraceEvent::PassComplete { .. }));
-        assert_eq!(passes, 3, "cse + lower + schedule");
+        let seqs: Vec<u32> = sink
+            .events()
+            .filter_map(|e| match e {
+                TraceEvent::PassComplete { seq, .. } => Some(*seq),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(seqs, [0, 1, 2], "cse, then lower + schedule, numbered on");
         // The scheduler's own decision log is interleaved.
         assert!(sink.count(|e| matches!(e, TraceEvent::ScheduleDone { .. })) >= 1);
     }

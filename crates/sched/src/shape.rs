@@ -1,13 +1,18 @@
 //! The compile shape: the projection of a [`MachineConfig`] that the
 //! compilation pipeline ([`crate::compile`]) actually reads.
 //!
+//! A compile runs in two stages. The IR passes ([`crate::transform`])
+//! read no machine at all; the shape is what the second stage, lowering
+//! and list/modulo scheduling ([`crate::lower_and_schedule`]), reads.
 //! A design-space search prices thousands of machines that differ in
 //! cluster count, register-file size and porting, bank capacity and
-//! instruction cache, yet none of those fields reaches the IR passes,
-//! lowering or the list/modulo schedulers. Two machines with equal
-//! shapes therefore get identical schedules for every (kernel, strategy)
-//! pair, so a driver may compile once per shape and reuse the result —
-//! as long as [`CompileShape::determines`] holds for the pair.
+//! instruction cache, yet none of those fields reaches either stage.
+//! Two machines with equal shapes therefore get identical schedules for
+//! every (kernel, strategy) pair, so a driver may transform each kernel
+//! once, schedule it once per shape and reuse the result — as long as
+//! [`CompileShape::determines`] holds for the pair. `vsp_kernels`'
+//! Table 1 rows key their schedule memo by (transformed kernel, the
+//! strategy's backend, shape).
 //!
 //! Where each field is read:
 //!

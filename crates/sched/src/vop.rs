@@ -219,16 +219,20 @@ impl VopDeps {
         // Memory ordering: conservative per (bank, array window). Lowering
         // resolved arrays to addresses; we order stores against other
         // accesses of the same bank unless both addresses are distinct
-        // constants.
+        // constants. Two loads never conflict, so a store meets every
+        // later access and a load only the later stores, visited in the
+        // same (i, j) order as an all-pairs scan.
+        let is_store = |i: usize| matches!(body.ops[i].kind, OpKind::Store { .. });
         let mem_ops: Vec<usize> = (0..n).filter(|&i| body.ops[i].kind.is_mem()).collect();
+        let stores: Vec<usize> = mem_ops.iter().copied().filter(|&i| is_store(i)).collect();
         for (ai, &i) in mem_ops.iter().enumerate() {
-            for &j in &mem_ops[ai + 1..] {
+            let later = if is_store(i) {
+                &mem_ops[ai + 1..]
+            } else {
+                &stores[stores.partition_point(|&s| s < i)..]
+            };
+            for &j in later {
                 let (a, b) = (&body.ops[i].kind, &body.ops[j].kind);
-                let a_store = matches!(a, OpKind::Store { .. });
-                let b_store = matches!(b, OpKind::Store { .. });
-                if !(a_store || b_store) {
-                    continue;
-                }
                 if bank_of(a) != bank_of(b) {
                     continue;
                 }
