@@ -1,7 +1,7 @@
 //! Appends one measured record to the repo's performance trajectory
 //! (`BENCH_simulator.json`) and prints a speedup summary.
 //!
-//! Four comparisons, each asserting result equality before timing is
+//! Three comparisons, each asserting result equality before timing is
 //! trusted, and one timed search:
 //!
 //! 1. **Simulator core** — the pre-decoded fast path
@@ -22,10 +22,7 @@
 //!    reusable runner per run, no per-cycle walk), in completed runs
 //!    per host second, with the final architectural state asserted
 //!    bit-identical to the fast path first.
-//! 4. **Tables** — serial `assemble_table` vs the parallel + memoized
-//!    [`EvalEngine`] for Tables 1 and 2, asserting byte-identical text.
-//!    Both run with the compile memo warm (the reference pass fills it).
-//! 5. **Design-space search** — the full `vsp-dse` pipeline
+//! 4. **Design-space search** — the full `vsp-dse` pipeline
 //!    (enumerate → validate → prune on the VLSI envelope → evaluate
 //!    survivors on the six-kernel suite → Pareto-rank) over the CI
 //!    smoke grid, in points processed per host second. Measured first,
@@ -45,7 +42,7 @@
 
 use std::process::ExitCode;
 use std::time::Instant;
-use vsp_bench::{gate, tables, EvalEngine};
+use vsp_bench::gate;
 use vsp_core::models;
 use vsp_exec::{ExecRequest, Functional};
 use vsp_ir::Stmt;
@@ -55,9 +52,9 @@ use vsp_sim::{BatchSimulator, DecodedProgram, Refusal, RunSpec, Simulator};
 
 const USAGE: &str = "usage: bench-report [options]
 
-Measures the simulator fast path and the parallel table engine against
-their serial baselines, times the vsp-dse search on the CI smoke grid,
-appends a JSON record to the benchmark trajectory, and prints a
+Measures the simulator fast path, the batch engine and the functional
+tier against their baselines, times the vsp-dse search on the CI smoke
+grid, appends a JSON record to the benchmark trajectory, and prints a
 summary.
 
 options:
@@ -344,49 +341,6 @@ fn measure_functional(iters: u32) -> Result<FunctionalResult, String> {
     })
 }
 
-struct TablesResult {
-    serial_wall_s: f64,
-    engine_wall_s: f64,
-}
-
-/// Tables 1/2, serial against the parallel engine. Both timed loops run
-/// warm: the reference pass fills the process-wide compile memo behind
-/// every row (`vsp_kernels::variants`), so they time row composition
-/// and table assembly, not compilation. The record says so
-/// (`"compile_memo": "warm"`).
-fn measure_tables(iters: u32) -> Result<TablesResult, String> {
-    // Reference text once, for the byte-identity assertion.
-    let reference = (tables::table1(), tables::table2());
-
-    let mut serial_wall_s = 0.0;
-    let mut engine_wall_s = 0.0;
-    let mut engine_out = None;
-    for _ in 0..iters {
-        let t = Instant::now();
-        std::hint::black_box((tables::table1(), tables::table2()));
-        serial_wall_s += t.elapsed().as_secs_f64();
-
-        // A fresh engine per iteration: the memo cache still pays off
-        // *within* one `tables -- all` invocation (shared machine
-        // columns and DCT kernels), which is what we are timing.
-        let t = Instant::now();
-        let engine = EvalEngine::new();
-        engine_out = Some(std::hint::black_box((
-            tables::table1_with(&engine),
-            tables::table2_with(&engine),
-        )));
-        engine_wall_s += t.elapsed().as_secs_f64();
-    }
-
-    if engine_out.as_ref() != Some(&reference) {
-        return Err("engine table text diverged from serial".into());
-    }
-    Ok(TablesResult {
-        serial_wall_s,
-        engine_wall_s,
-    })
-}
-
 struct DseResult {
     enumerated: usize,
     feasible: usize,
@@ -435,7 +389,6 @@ fn render_record(
     sim: &SimResult,
     bat: &BatchResult,
     fnc: &FunctionalResult,
-    tab: &TablesResult,
     dse: &DseResult,
 ) -> String {
     let epoch_s = std::time::SystemTime::now()
@@ -477,13 +430,6 @@ fn render_record(
             "      \"func_runs_per_sec\": {:.0},\n",
             "      \"state_identical\": true\n",
             "    }},\n",
-            "    \"tables\": {{\n",
-            "      \"serial_wall_s\": {:.6},\n",
-            "      \"engine_wall_s\": {:.6},\n",
-            "      \"speedup\": {:.3},\n",
-            "      \"byte_identical\": true,\n",
-            "      \"compile_memo\": \"warm\"\n",
-            "    }},\n",
             "    \"dse\": {{\n",
             "      \"workload\": \"smoke_grid_search\",\n",
             "      \"enumerated\": {},\n",
@@ -514,9 +460,6 @@ fn render_record(
         fnc.cycles_per_run,
         fnc.wall_s,
         fnc.runs_per_sec,
-        tab.serial_wall_s,
-        tab.engine_wall_s,
-        tab.serial_wall_s / tab.engine_wall_s,
         dse.enumerated,
         dse.feasible,
         dse.frontier,
@@ -548,7 +491,6 @@ fn run() -> Result<(), String> {
     let sim = measure_simulator(args.iters)?;
     let bat = measure_batch(args.iters)?;
     let fnc = measure_functional(args.iters)?;
-    let tab = measure_tables(args.iters)?;
 
     println!(
         "simulator : fast {:>12.0} cyc/s | interp {:>12.0} cyc/s | {:.2}x",
@@ -573,12 +515,6 @@ fn run() -> Result<(), String> {
         fnc.runs_per_sec / batch_rps
     );
     println!(
-        "tables    : engine {:>9.3} s | serial {:>9.3} s | {:.2}x (byte-identical, compile memo warm)",
-        tab.engine_wall_s / f64::from(args.iters),
-        tab.serial_wall_s / f64::from(args.iters),
-        tab.serial_wall_s / tab.engine_wall_s
-    );
-    println!(
         "dse       : {:>5} points in {:>7.3} s | {:.0} points/s ({} feasible, frontier {})",
         dse.enumerated, dse.wall_s, dse.points_per_sec, dse.feasible, dse.frontier
     );
@@ -594,7 +530,7 @@ fn run() -> Result<(), String> {
     if args.dry_run {
         println!("(dry run: {} not written)", args.out);
     } else {
-        let record = render_record(&args, &sim, &bat, &fnc, &tab, &dse);
+        let record = render_record(&args, &sim, &bat, &fnc, &dse);
         append_record(&args.out, &record)?;
         println!("appended record to {}", args.out);
     }

@@ -269,6 +269,8 @@ struct CellReport {
     verdict: &'static str,
     /// Fault accounting invariant: detected >= corrected + uncorrectable.
     accounted: bool,
+    /// Checkpoints the recovery loop took (not in the `--json` line).
+    checkpoints: u64,
 }
 
 /// Per-cell knobs: injection rate and seed plus the recovery tuning.
@@ -384,12 +386,15 @@ fn run_cell(
         golden_cycles: *golden_cycles,
         verdict,
         accounted: s.faults_detected >= s.faults_corrected + s.faults_uncorrectable,
+        checkpoints: outcome.checkpoints,
     }
 }
 
 /// Folds one cell into the metrics registry: verdict counters, fault
-/// totals per (kernel, model), and the surviving-timeline cycle
-/// histogram.
+/// totals per (kernel, model), the surviving-timeline cycle histogram,
+/// and the simulation work behind it — cycles simulated on the
+/// surviving and the replayed timelines, and checkpoints taken — as
+/// totals with no per-pair label, exact at a fixed seed.
 fn record_cell(reg: &mut Registry, cell: &CellReport) {
     let labels = [("kernel", cell.kernel), ("model", cell.model.as_str())];
     reg.add("vsp_faults_verdicts_total", &[("verdict", cell.verdict)], 1);
@@ -408,6 +413,10 @@ fn record_cell(reg: &mut Registry, cell: &CellReport) {
         cell.recovery_cycles,
     );
     reg.observe("vsp_faults_cell_cycles", &labels, cell.cycles);
+    let cycles = "vsp_faults_sim_cycles_total";
+    reg.add(cycles, &[("timeline", "surviving")], cell.cycles);
+    reg.add(cycles, &[("timeline", "replayed")], cell.recovery_cycles);
+    reg.add("vsp_faults_checkpoints_total", &[], cell.checkpoints);
 }
 
 /// One cell as a compact `--json` line, fields in declaration order.
@@ -806,6 +815,31 @@ mod tests {
         }
     }
 
+    /// Every case's report is pinned: a 64-bit FNV-1a over each
+    /// `--json` line and its newline, in case order, for the campaign
+    /// at two seeds. A simulator change that shifts one fault draw, one
+    /// cycle or one verdict changes a checksum.
+    #[test]
+    fn campaign_json_lines_are_pinned() {
+        for (seed, expected) in [(7, 0x0f2b_1dbe_80e6_63bd_u64), (11, 0x5f66_feb8_d29a_9c9c)] {
+            let args = Args {
+                seed,
+                ..Args::default()
+            };
+            let (outcomes, _) = campaign(&args);
+            let checksum = outcomes
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325_u64, |h, outcome| {
+                    let cell = outcome.value().expect("every case completes");
+                    let line = json_line(cell) + "\n";
+                    line.bytes().fold(h, |h, b| {
+                        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                    })
+                });
+            assert_eq!(checksum, expected, "seed {seed}: {checksum:#018x}");
+        }
+    }
+
     /// A zero-rate campaign injects nothing: every case is `clean` at
     /// its pair's golden cycle count, and the report reconciles.
     #[test]
@@ -848,6 +882,7 @@ mod tests {
             golden_cycles: 640,
             verdict: "sdc",
             accounted: true,
+            checkpoints: 11,
         };
         assert_eq!(
             json_line(&cell),

@@ -15,8 +15,8 @@
 //! golden from the rendering the failure message prints.
 
 use vsp_core::models;
-use vsp_kernels::variants::{table1_recipes, Recipe};
-use vsp_sched::{compile, compile_with, CompileOptions, CompileShape, ScheduleArtifact};
+use vsp_kernels::variants::{distinct_table1_recipes, table1_recipes, Recipe};
+use vsp_sched::{compile, compile_with, CompileOptions, ScheduleArtifact};
 use vsp_trace::{SchedOrdering, TraceEvent, TraceSink};
 
 /// 64-bit FNV-1a over a byte stream.
@@ -37,26 +37,6 @@ fn fingerprint(times: &[u32], placements: &[(u8, u8)]) -> u64 {
     let times = times.iter().flat_map(|t| t.to_le_bytes());
     let places = placements.iter().flat_map(|&(c, s)| [c, s]);
     fnv1a(times.chain(places))
-}
-
-/// The distinct compiles behind Table 1 on every paper model, in
-/// first-use order.
-fn distinct_recipes() -> Vec<Recipe> {
-    let mut distinct: Vec<Recipe> = Vec::new();
-    for machine in models::all_models() {
-        for r in table1_recipes(&machine) {
-            let shape = CompileShape::of(&r.machine);
-            let seen = distinct.iter().any(|d| {
-                CompileShape::of(&d.machine) == shape
-                    && d.kernel == r.kernel
-                    && d.strategy == r.strategy
-            });
-            if !seen {
-                distinct.push(r);
-            }
-        }
-    }
-    distinct
 }
 
 fn render(recipes: &[Recipe]) -> String {
@@ -89,7 +69,7 @@ fn render(recipes: &[Recipe]) -> String {
 #[test]
 fn table1_schedules_match_committed_golden() {
     let golden = include_str!("golden_schedules.txt");
-    let rendered = render(&distinct_recipes());
+    let rendered = render(&distinct_table1_recipes(&models::all_models()));
     let first_diff = golden
         .lines()
         .zip(rendered.lines())

@@ -34,11 +34,10 @@ use vsp_core::{models, LatencyModel, MachineConfig};
 use vsp_ir::Kernel;
 use vsp_isa::{AddrMode, OpKind};
 use vsp_kernels::strategies;
-use vsp_kernels::variants::{table1_recipes, Recipe};
+use vsp_kernels::variants::distinct_table1_recipes;
 use vsp_sched::vop::VDep;
 use vsp_sched::{
-    compile, min_ii_from, rec_mii, res_mii, CompileShape, LoweredBody, SchedulerChoice, Strategy,
-    VopDeps,
+    compile, min_ii_from, rec_mii, res_mii, LoweredBody, SchedulerChoice, Strategy, VopDeps,
 };
 
 /// Longest-path positive-cycle test: n + 1 rounds over the edge list.
@@ -248,21 +247,7 @@ fn compile_and_check(
 
 #[test]
 fn table1_bodies_match_the_reference_bounds() {
-    let mut distinct: Vec<Recipe> = Vec::new();
-    for machine in models::all_models() {
-        for r in table1_recipes(&machine) {
-            let shape = CompileShape::of(&r.machine);
-            let seen = distinct.iter().any(|d| {
-                CompileShape::of(&d.machine) == shape
-                    && d.kernel == r.kernel
-                    && d.strategy == r.strategy
-            });
-            if !seen {
-                distinct.push(r);
-            }
-        }
-    }
-    let checked = distinct
+    let checked = distinct_table1_recipes(&models::all_models())
         .iter()
         .filter(|r| {
             let label = format!("{} {} {}", r.machine.name, r.kernel.name, r.strategy.name);

@@ -83,12 +83,11 @@ const PRED_UNIVERSE: u8 = 6;
 const ADDR_UNIVERSE: u16 = 48;
 
 /// Per-machine generation state: the first cycle at which each register
-/// and predicate may be read or overwritten again.
+/// and predicate may be read or overwritten again, one row per cluster
+/// over the registers and predicates the generator draws from.
 struct BusyTable {
     regs: Vec<Vec<u64>>,
     preds: Vec<Vec<u64>>,
-    reg_cap: u16,
-    pred_cap: u8,
 }
 
 impl BusyTable {
@@ -99,32 +98,29 @@ impl BusyTable {
         BusyTable {
             regs: vec![vec![0; reg_cap as usize]; clusters],
             preds: vec![vec![0; pred_cap as usize]; clusters],
-            reg_cap,
-            pred_cap,
         }
     }
 
     /// A register on `cluster` ready at `cycle`, chosen uniformly.
     fn ready_reg(&self, rng: &mut SmallRng, cluster: u8, cycle: u64) -> Option<Reg> {
-        let ready: Vec<u16> = (0..self.reg_cap)
-            .filter(|&r| self.regs[cluster as usize][r as usize] <= cycle)
-            .collect();
-        if ready.is_empty() {
-            return None;
-        }
-        Some(Reg(ready[rng.gen_range(0..ready.len())]))
+        pick_ready(rng, &self.regs[cluster as usize], cycle).map(|r| Reg(r as u16))
     }
 
     /// A predicate on `cluster` ready at `cycle`, chosen uniformly.
     fn ready_pred(&self, rng: &mut SmallRng, cluster: u8, cycle: u64) -> Option<Pred> {
-        let ready: Vec<u8> = (0..self.pred_cap)
-            .filter(|&p| self.preds[cluster as usize][p as usize] <= cycle)
-            .collect();
-        if ready.is_empty() {
-            return None;
-        }
-        Some(Pred(ready[rng.gen_range(0..ready.len())]))
+        pick_ready(rng, &self.preds[cluster as usize], cycle).map(|p| Pred(p as u8))
     }
+}
+
+/// The index of an entry of `ready_at` that is at most `cycle`, chosen
+/// uniformly with one draw, or `None` (and no draw) when there is none.
+fn pick_ready(rng: &mut SmallRng, ready_at: &[u64], cycle: u64) -> Option<usize> {
+    let ready = || ready_at.iter().enumerate().filter(|&(_, &t)| t <= cycle);
+    let count = ready().count();
+    if count == 0 {
+        return None;
+    }
+    ready().nth(rng.gen_range(0..count)).map(|(i, _)| i)
 }
 
 /// A register source or a small immediate, biased half/half.
@@ -151,15 +147,20 @@ pub fn gen_program(machine: &MachineConfig, rng: &mut SmallRng, cfg: &ProgramGen
     let (bcluster, bslot) = machine.branch_slot();
     let program_len = cfg.words + 1; // body + halt word
 
+    // One reservation serves every word: each word's ops are released
+    // from it once the word is complete.
+    let mut reservation = CycleReservation::new(machine);
+    // Registers/predicates already written this word (same-word double
+    // writes would commit in program order — legal, but it makes
+    // differential triage noisier than it is worth).
+    let mut wrote_regs: Vec<(u8, u16)> = Vec::new();
+    let mut wrote_preds: Vec<(u8, u8)> = Vec::new();
+
     for w in 0..cfg.words {
         let cycle = w as u64;
-        let mut reservation = CycleReservation::new(machine);
         let mut word: Vec<Operation> = Vec::new();
-        // Registers/predicates already written this word (same-word
-        // double writes would commit in program order — legal, but it
-        // makes differential triage noisier than it is worth).
-        let mut wrote_regs: Vec<(u8, u16)> = Vec::new();
-        let mut wrote_preds: Vec<(u8, u8)> = Vec::new();
+        wrote_regs.clear();
+        wrote_preds.clear();
 
         // Control slot first: at most one branch or jump per word, only
         // to the fall-through point after the delay slots.
@@ -221,15 +222,19 @@ pub fn gen_program(machine: &MachineConfig, rng: &mut SmallRng, cfg: &ProgramGen
             // Place on a free capable slot; replay through the
             // reservation to keep the word structurally legal.
             let class = kind.fu_class().expect("generator never emits no-ops");
-            let free: Vec<u8> = machine
-                .cluster
-                .slots_for(class)
-                .filter(|&s| !reservation.slot_busy(cluster, s))
-                .collect();
-            if free.is_empty() {
+            let free = || {
+                machine
+                    .cluster
+                    .slots_for(class)
+                    .filter(|&s| !reservation.slot_busy(cluster, s))
+            };
+            let free_count = free().count();
+            if free_count == 0 {
                 continue;
             }
-            let slot = free[rng.gen_range(0..free.len())];
+            let slot = free()
+                .nth(rng.gen_range(0..free_count))
+                .expect("drawn below the count");
             let op = match guard {
                 Some(g) => Operation::guarded(cluster, slot, g, kind),
                 None => Operation::new(cluster, slot, kind),
@@ -251,6 +256,9 @@ pub fn gen_program(machine: &MachineConfig, rng: &mut SmallRng, cfg: &ProgramGen
             word.push(op);
         }
 
+        for op in &word {
+            reservation.release(op);
+        }
         program.push_word(word);
     }
 
@@ -269,22 +277,31 @@ fn rand_op_kind(
     cluster: u8,
     cycle: u64,
 ) -> Option<OpKind> {
+    /// The binary ALU ops; the last, `AbsDiff`, only where the machine
+    /// has it.
+    const ALU_BIN: [AluBinOp; 8] = [
+        AluBinOp::Add,
+        AluBinOp::Sub,
+        AluBinOp::And,
+        AluBinOp::Or,
+        AluBinOp::Xor,
+        AluBinOp::Min,
+        AluBinOp::Max,
+        AluBinOp::AbsDiff,
+    ];
+    /// The multiplies; the 16-bit pair only on 16-bit multipliers.
+    const MUL: [MulKind; 5] = [
+        MulKind::Mul8SS,
+        MulKind::Mul8UU,
+        MulKind::Mul8SU,
+        MulKind::Mul16Lo,
+        MulKind::Mul16Hi,
+    ];
     let dst = busy.ready_reg(rng, cluster, cycle);
     let roll = rng.gen_range(0u32..100);
     match roll {
         0..=29 => {
-            let mut ops = vec![
-                AluBinOp::Add,
-                AluBinOp::Sub,
-                AluBinOp::And,
-                AluBinOp::Or,
-                AluBinOp::Xor,
-                AluBinOp::Min,
-                AluBinOp::Max,
-            ];
-            if machine.has_absdiff {
-                ops.push(AluBinOp::AbsDiff);
-            }
+            let ops = &ALU_BIN[..if machine.has_absdiff { 8 } else { 7 }];
             Some(OpKind::AluBin {
                 op: ops[rng.gen_range(0..ops.len())],
                 dst: dst?,
@@ -317,11 +334,11 @@ fn rand_op_kind(
             })
         }
         55..=64 => {
-            let mut kinds = vec![MulKind::Mul8SS, MulKind::Mul8UU, MulKind::Mul8SU];
-            if machine.mul_width == MulWidth::Sixteen {
-                kinds.push(MulKind::Mul16Lo);
-                kinds.push(MulKind::Mul16Hi);
-            }
+            let kinds = &MUL[..if machine.mul_width == MulWidth::Sixteen {
+                5
+            } else {
+                3
+            }];
             Some(OpKind::Mul {
                 kind: kinds[rng.gen_range(0..kinds.len())],
                 dst: dst?,

@@ -186,12 +186,10 @@ pub fn validate_program_with(
                 } if !machine.has_absdiff => {
                     errors.push(err(ViolationKind::AbsDiffUnsupported));
                 }
-                OpKind::Branch {
-                    pred,
-                    sense,
-                    target,
-                } => {
-                    let _ = (pred, sense);
+                OpKind::Branch { pred, target, .. } => {
+                    if u32::from(pred.0) >= preds {
+                        errors.push(err(ViolationKind::PredOutOfRange(pred.0)));
+                    }
                     if *target >= program.len() {
                         errors.push(err(ViolationKind::BadTarget(*target)));
                     }
@@ -465,6 +463,20 @@ mod tests {
             },
         );
         let errs = validate_program(&m, &program_of(vec![op])).unwrap_err();
+        assert!(matches!(errs[0].kind, ViolationKind::PredOutOfRange(9)));
+
+        // A branch's predicate is checked too.
+        let (bc, bs) = m.branch_slot();
+        let branch = Operation::new(
+            bc,
+            bs,
+            OpKind::Branch {
+                pred: Pred(9),
+                sense: true,
+                target: 0,
+            },
+        );
+        let errs = validate_program(&m, &program_of(vec![branch])).unwrap_err();
         assert!(matches!(errs[0].kind, ViolationKind::PredOutOfRange(9)));
     }
 

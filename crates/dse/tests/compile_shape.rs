@@ -10,7 +10,7 @@ use vsp_core::{
     models, Addressing, BankBinding, FuSet, MachineConfig, MachineParams, MemBankConfig, MulWidth,
 };
 use vsp_isa::FuClass;
-use vsp_kernels::variants::{table1_recipes, Recipe};
+use vsp_kernels::variants::{distinct_table1_recipes, table1_recipes};
 use vsp_sched::{compile, CompileShape};
 
 /// The seven paper models, a 2-bank any-slot grid point and a grid
@@ -104,22 +104,8 @@ const INCLUDED: [Perturbation; 14] = [
     ("slot order", |m| m.cluster.slots.reverse()),
 ];
 
-/// The distinct compiles behind one machine's Table 1 rows.
-fn distinct_recipes(machine: &MachineConfig) -> Vec<Recipe> {
-    let mut distinct: Vec<Recipe> = Vec::new();
-    for r in table1_recipes(machine) {
-        let seen = distinct
-            .iter()
-            .any(|d| d.machine == r.machine && d.kernel == r.kernel && d.strategy == r.strategy);
-        if !seen {
-            distinct.push(r);
-        }
-    }
-    distinct
-}
-
 fn check_excluded_fields(machine: &MachineConfig) {
-    let recipes = distinct_recipes(machine);
+    let recipes = distinct_table1_recipes(std::slice::from_ref(machine));
     assert!(
         recipes.len() > 20,
         "{}: {} recipes",

@@ -382,15 +382,9 @@ impl Runner<'_> {
         ArchState {
             cycle: self.program.cycles,
             halted: true,
-            regs: (0..shape.clusters)
-                .map(|c| self.frame.regs[c * shape.nregs..(c + 1) * shape.nregs].to_vec())
-                .collect(),
-            preds: (0..shape.clusters)
-                .map(|c| self.frame.preds[c * shape.npreds..(c + 1) * shape.npreds].to_vec())
-                .collect(),
-            mems: (0..shape.clusters)
-                .map(|c| self.frame.mems[c * nbanks..(c + 1) * nbanks].to_vec())
-                .collect(),
+            regs: ArchState::flat_rows(&self.frame.regs, shape.clusters, shape.nregs),
+            preds: ArchState::flat_rows(&self.frame.preds, shape.clusters, shape.npreds),
+            mems: ArchState::flat_rows(&self.frame.mems, shape.clusters, nbanks),
         }
     }
 
@@ -401,25 +395,21 @@ impl Runner<'_> {
     pub fn state_matches(&self, reference: &ArchState) -> bool {
         let shape = &self.program.shape;
         let nbanks = shape.bank_words.len();
-        if reference.cycle != self.program.cycles
-            || !reference.halted
-            || reference.regs.len() != shape.clusters
-            || reference.preds.len() != shape.clusters
-            || reference.mems.len() != shape.clusters
-        {
-            return false;
-        }
-        for c in 0..shape.clusters {
-            if reference.regs[c] != self.frame.regs[c * shape.nregs..(c + 1) * shape.nregs]
-                || reference.preds[c] != self.frame.preds[c * shape.npreds..(c + 1) * shape.npreds]
-            {
-                return false;
-            }
-            if reference.mems[c] != self.frame.mems[c * nbanks..(c + 1) * nbanks] {
-                return false;
-            }
-        }
-        true
+        reference.cycle == self.program.cycles
+            && reference.halted
+            && ArchState::rows_match_flat(
+                &reference.regs,
+                &self.frame.regs,
+                shape.clusters,
+                shape.nregs,
+            )
+            && ArchState::rows_match_flat(
+                &reference.preds,
+                &self.frame.preds,
+                shape.clusters,
+                shape.npreds,
+            )
+            && ArchState::rows_match_flat(&reference.mems, &self.frame.mems, shape.clusters, nbanks)
     }
 }
 

@@ -113,6 +113,7 @@ impl FaultPlan {
         SeededFaults {
             rng: SmallRng::seed_from_u64(self.seed),
             plan: self.clone(),
+            enabled: !self.is_quiet(),
             counts: InjectionCounts::default(),
         }
     }
@@ -154,6 +155,9 @@ impl InjectionCounts {
 #[derive(Debug, Clone)]
 pub struct SeededFaults {
     plan: FaultPlan,
+    /// `!plan.is_quiet()`, decided once: the simulator asks on every
+    /// register read.
+    enabled: bool,
     rng: SmallRng,
     counts: InjectionCounts,
 }
@@ -196,8 +200,9 @@ impl SeededFaults {
 }
 
 impl FaultModel for SeededFaults {
+    #[inline]
     fn enabled(&self) -> bool {
-        !self.plan.is_quiet()
+        self.enabled
     }
 
     fn on_reg_read(&mut self, _cycle: u64, cluster: ClusterId, reg: u16, value: i16) -> i16 {

@@ -72,6 +72,9 @@ pub struct RecoveryOutcome {
     pub error: Option<SimError>,
     /// Total region re-executions performed.
     pub retries: u64,
+    /// Checkpoints taken: one at the start of every region, replayed
+    /// attempts excluded.
+    pub checkpoints: u64,
 }
 
 impl RecoveryOutcome {
@@ -110,6 +113,7 @@ pub fn run_with_recovery<S: TraceSink, F: FaultModel>(
     let mut uncorrectable: u64 = 0;
     let mut recovery_cycles: u64 = 0;
     let mut retries: u64 = 0;
+    let mut checkpoints: u64 = 0;
     let mut error: Option<SimError> = None;
     let mut checkpoint: Option<Checkpoint> = None;
 
@@ -127,6 +131,7 @@ pub fn run_with_recovery<S: TraceSink, F: FaultModel>(
             }
             None => checkpoint.insert(sim.checkpoint()),
         };
+        checkpoints += 1;
         let mut region_detections: u64 = 0;
         loop {
             let end = run_region(sim, interval, cfg.region_budget);
@@ -178,6 +183,7 @@ pub fn run_with_recovery<S: TraceSink, F: FaultModel>(
         halted: sim.is_halted(),
         error,
         retries,
+        checkpoints,
         stats,
     }
 }
@@ -252,6 +258,8 @@ mod tests {
         assert!(outcome.is_clean());
         assert_eq!(outcome.stats.faults_detected, 0);
         assert_eq!(outcome.stats.recovery_cycles, 0);
+        // 102 words in 16-word regions.
+        assert_eq!(outcome.checkpoints, 7);
         // Checkpointing is observation-only: identical stats.
         assert_eq!(outcome.stats, plain_stats);
         assert_eq!(sim.reg(0, Reg(1)), 100);

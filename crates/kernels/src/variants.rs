@@ -328,6 +328,25 @@ pub fn table1_recipes(machine: &MachineConfig) -> Vec<Recipe> {
     RECIPES.with(|r| r.borrow_mut().take().unwrap_or_default())
 }
 
+/// The distinct compiles behind Table 1 on `machines`, in first-use
+/// order: two recipes are one compile when their [`CompileShape`],
+/// kernel and strategy agree, whatever else their machines differ in.
+pub fn distinct_table1_recipes(machines: &[MachineConfig]) -> Vec<Recipe> {
+    let mut distinct: Vec<(CompileShape, Recipe)> = Vec::new();
+    for machine in machines {
+        for r in table1_recipes(machine) {
+            let shape = CompileShape::of(&r.machine);
+            let seen = distinct
+                .iter()
+                .any(|(s, d)| *s == shape && d.kernel == r.kernel && d.strategy == r.strategy);
+            if !seen {
+                distinct.push((shape, r));
+            }
+        }
+    }
+    distinct.into_iter().map(|(_, r)| r).collect()
+}
+
 impl Recipe {
     /// The recipe's schedule summary, compiled through the process-wide
     /// memo (see the [module docs](self)): the same summary

@@ -106,6 +106,29 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+impl SimError {
+    /// Builds [`SimError::PrematureRead`] out of line, so the register
+    /// and predicate reads that can raise it stay small enough to
+    /// inline into the step loop.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn premature_read(
+        cycle: u64,
+        word: usize,
+        cluster: ClusterId,
+        reg: Reg,
+        ready_at: u64,
+    ) -> Self {
+        SimError::PrematureRead {
+            cycle,
+            word,
+            cluster,
+            reg,
+            ready_at,
+        }
+    }
+}
+
 impl From<Vec<ValidationError>> for SimError {
     fn from(errs: Vec<ValidationError>) -> Self {
         SimError::Invalid(errs)

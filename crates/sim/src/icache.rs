@@ -6,14 +6,39 @@
 //! so "essentially, all critical loops must fit into the cache" — this
 //! model makes that penalty visible in simulation.
 
+/// Tag of a line that holds no word.
+const EMPTY: u32 = u32::MAX;
+
 /// Direct-mapped, one-word-per-line instruction cache.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A line's tag is the word index it holds, or `u32::MAX` when the
+/// line is empty: four bytes a line, because every checkpoint copies
+/// the tag array (word indices fit in `u32`, as the decoded program's
+/// branch targets do).
+#[derive(Debug, PartialEq)]
 pub struct InstructionCache {
     capacity: u32,
     refill_cycles: u32,
-    tags: Vec<Option<usize>>,
+    tags: Vec<u32>,
     misses: u64,
     hits: u64,
+}
+
+impl Clone for InstructionCache {
+    fn clone(&self) -> Self {
+        InstructionCache {
+            tags: self.tags.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies `source` into this cache's tag buffer instead of a new
+    /// one: checkpoints refresh and restore a cache this way.
+    fn clone_from(&mut self, source: &Self) {
+        let mut tags = std::mem::take(&mut self.tags);
+        tags.clone_from(&source.tags);
+        *self = InstructionCache { tags, ..*source };
+    }
 }
 
 impl InstructionCache {
@@ -22,7 +47,7 @@ impl InstructionCache {
         InstructionCache {
             capacity: capacity_words.max(1),
             refill_cycles,
-            tags: vec![None; capacity_words.max(1) as usize],
+            tags: vec![EMPTY; capacity_words.max(1) as usize],
             misses: 0,
             hits: 0,
         }
@@ -31,12 +56,13 @@ impl InstructionCache {
     /// Fetches the word at `pc`, returning the stall cycles incurred
     /// (0 on a hit, the refill penalty on a miss).
     pub fn fetch(&mut self, pc: usize) -> u32 {
+        debug_assert!(pc < EMPTY as usize, "word index {pc} has no tag");
         let idx = pc % self.capacity as usize;
-        if self.tags[idx] == Some(pc) {
+        if self.tags[idx] == pc as u32 {
             self.hits += 1;
             0
         } else {
-            self.tags[idx] = Some(pc);
+            self.tags[idx] = pc as u32;
             self.misses += 1;
             self.refill_cycles
         }
@@ -47,7 +73,7 @@ impl InstructionCache {
     pub fn warm(&mut self, len: usize) {
         for pc in 0..len.min(self.capacity as usize) {
             let idx = pc % self.capacity as usize;
-            self.tags[idx] = Some(pc);
+            self.tags[idx] = pc as u32;
         }
     }
 
@@ -109,6 +135,19 @@ mod tests {
             stall2 += c.fetch(pc);
         }
         assert!(stall2 >= stall / 2);
+    }
+
+    #[test]
+    fn clone_from_copies_tags_into_the_existing_buffer() {
+        let mut source = InstructionCache::new(8, 50);
+        source.warm(3);
+        source.fetch(9);
+        let mut target = InstructionCache::new(8, 50);
+        let buffer = target.tags.as_ptr();
+        target.clone_from(&source);
+        assert_eq!(target, source);
+        assert_eq!(target, source.clone());
+        assert_eq!(target.tags.as_ptr(), buffer, "buffer reused");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::error::SimError;
 use crate::fault::FaultModel;
-use vsp_isa::{ClusterId, Pred, Reg};
+use vsp_isa::{ClusterId, Reg};
 use vsp_trace::TraceSink;
 
 use super::{Commit, HazardPolicy, Simulator, PENDING_SLOTS};
@@ -30,10 +30,7 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
                 let mut commits = std::mem::take(&mut self.pending_ring[slot]);
                 self.pending_count -= commits.len();
                 for commit in &commits {
-                    match *commit {
-                        Commit::Reg(c, r, v) => self.regs[c as usize][r.index()] = v,
-                        Commit::Pred(c, p, v) => self.preds[c as usize][p.index()] = v,
-                    }
+                    self.apply(*commit);
                 }
                 commits.clear();
                 self.pending_ring[slot] = commits;
@@ -45,11 +42,17 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
                 break;
             }
             for commit in entry.remove() {
-                match commit {
-                    Commit::Reg(c, r, v) => self.regs[c as usize][r.index()] = v,
-                    Commit::Pred(c, p, v) => self.preds[c as usize][p.index()] = v,
-                }
+                self.apply(commit);
             }
+        }
+    }
+
+    /// Makes one commit's value architecturally visible.
+    #[inline]
+    fn apply(&mut self, commit: Commit) {
+        match commit {
+            Commit::Reg(slot, v) => self.regs[slot as usize] = v,
+            Commit::Pred(slot, v) => self.preds[slot as usize] = v,
         }
     }
 
@@ -101,11 +104,11 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
         latency: u32,
     ) -> Result<(), SimError> {
         let at = self.cycle + u64::from(latency);
-        let ready = self.reg_ready[cluster as usize][reg as usize];
+        let slot = self.reg_slot(cluster, reg);
+        let ready = self.reg_ready[slot];
         self.check_write_port(ready, at, latency, cluster, Reg(reg))?;
-        self.push_commit(at, latency, Commit::Reg(cluster, Reg(reg), value));
-        let slot = &mut self.reg_ready[cluster as usize][reg as usize];
-        *slot = (*slot).max(at);
+        self.push_commit(at, latency, Commit::Reg(slot as u32, value));
+        self.reg_ready[slot] = ready.max(at);
         Ok(())
     }
 
@@ -117,11 +120,11 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
         latency: u32,
     ) -> Result<(), SimError> {
         let at = self.cycle + u64::from(latency);
-        let ready = self.pred_ready[cluster as usize][pred as usize];
+        let slot = self.pred_slot(cluster, pred);
+        let ready = self.pred_ready[slot];
         self.check_write_port(ready, at, latency, cluster, Reg(u16::from(pred) | 0x8000))?;
-        self.push_commit(at, latency, Commit::Pred(cluster, Pred(pred), value));
-        let slot = &mut self.pred_ready[cluster as usize][pred as usize];
-        *slot = (*slot).max(at);
+        self.push_commit(at, latency, Commit::Pred(slot as u32, value));
+        self.pred_ready[slot] = ready.max(at);
         Ok(())
     }
 }

@@ -21,17 +21,18 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
         reg: u16,
         word: usize,
     ) -> Result<i16, SimError> {
-        let ready = self.reg_ready[cluster as usize][reg as usize];
+        let slot = self.reg_slot(cluster, reg);
+        let ready = self.reg_ready[slot];
         if ready > self.cycle && self.policy == HazardPolicy::Fault {
-            return Err(SimError::PrematureRead {
-                cycle: self.cycle,
+            return Err(SimError::premature_read(
+                self.cycle,
                 word,
                 cluster,
-                reg: Reg(reg),
-                ready_at: ready,
-            });
+                Reg(reg),
+                ready,
+            ));
         }
-        let v = self.regs[cluster as usize][reg as usize];
+        let v = self.regs[slot];
         if self.faults.enabled() {
             return Ok(self.fault_reg_read(cluster, reg, v));
         }
@@ -118,17 +119,18 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
         pred: u8,
         word: usize,
     ) -> Result<bool, SimError> {
-        let ready = self.pred_ready[cluster as usize][pred as usize];
+        let slot = self.pred_slot(cluster, pred);
+        let ready = self.pred_ready[slot];
         if ready > self.cycle && self.policy == HazardPolicy::Fault {
-            return Err(SimError::PrematureRead {
-                cycle: self.cycle,
+            return Err(SimError::premature_read(
+                self.cycle,
                 word,
                 cluster,
-                reg: Reg(u16::from(pred) | 0x8000),
-                ready_at: ready,
-            });
+                Reg(u16::from(pred) | 0x8000),
+                ready,
+            ));
         }
-        Ok(self.preds[cluster as usize][pred as usize])
+        Ok(self.preds[slot])
     }
 
     #[inline]

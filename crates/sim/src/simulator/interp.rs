@@ -214,7 +214,8 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
     }
 
     fn read_reg(&self, cluster: ClusterId, reg: Reg, word: usize) -> Result<i16, SimError> {
-        let ready = self.reg_ready[cluster as usize][reg.index()];
+        let slot = self.reg_slot(cluster, reg.0);
+        let ready = self.reg_ready[slot];
         if ready > self.cycle && self.policy == HazardPolicy::Fault {
             return Err(SimError::PrematureRead {
                 cycle: self.cycle,
@@ -224,11 +225,12 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
                 ready_at: ready,
             });
         }
-        Ok(self.regs[cluster as usize][reg.index()])
+        Ok(self.regs[slot])
     }
 
     fn read_pred(&self, cluster: ClusterId, pred: Pred, word: usize) -> Result<bool, SimError> {
-        let ready = self.pred_ready[cluster as usize][pred.index()];
+        let slot = self.pred_slot(cluster, pred.0);
+        let ready = self.pred_ready[slot];
         if ready > self.cycle && self.policy == HazardPolicy::Fault {
             return Err(SimError::PrematureRead {
                 cycle: self.cycle,
@@ -238,7 +240,7 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
                 ready_at: ready,
             });
         }
-        Ok(self.preds[cluster as usize][pred.index()])
+        Ok(self.preds[slot])
     }
 
     fn read_operand(
@@ -284,14 +286,14 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
         latency: u32,
     ) -> Result<(), SimError> {
         let at = self.cycle + u64::from(latency);
-        let ready = self.reg_ready[cluster as usize][reg as usize];
+        let slot = self.reg_slot(cluster, reg);
+        let ready = self.reg_ready[slot];
         self.check_write_port(ready, at, latency, cluster, Reg(reg))?;
         self.pending_far
             .entry(at)
             .or_default()
-            .push(Commit::Reg(cluster, Reg(reg), value));
-        let slot = &mut self.reg_ready[cluster as usize][reg as usize];
-        *slot = (*slot).max(at);
+            .push(Commit::Reg(slot as u32, value));
+        self.reg_ready[slot] = ready.max(at);
         Ok(())
     }
 
@@ -304,14 +306,14 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
         latency: u32,
     ) -> Result<(), SimError> {
         let at = self.cycle + u64::from(latency);
-        let ready = self.pred_ready[cluster as usize][pred as usize];
+        let slot = self.pred_slot(cluster, pred);
+        let ready = self.pred_ready[slot];
         self.check_write_port(ready, at, latency, cluster, Reg(u16::from(pred) | 0x8000))?;
         self.pending_far
             .entry(at)
             .or_default()
-            .push(Commit::Pred(cluster, Pred(pred), value));
-        let slot = &mut self.pred_ready[cluster as usize][pred as usize];
-        *slot = (*slot).max(at);
+            .push(Commit::Pred(slot as u32, value));
+        self.pred_ready[slot] = ready.max(at);
         Ok(())
     }
 

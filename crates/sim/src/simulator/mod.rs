@@ -76,11 +76,38 @@ pub enum HazardPolicy {
 }
 
 /// A pending register/predicate write (full bypass makes results visible
-/// exactly `latency` cycles after issue).
+/// exactly `latency` cycles after issue), addressed by its flat index
+/// into the simulator's `regs` or `preds`.
 #[derive(Debug, Clone, Copy)]
 enum Commit {
-    Reg(ClusterId, Reg, i16),
-    Pred(ClusterId, Pred, bool),
+    Reg(u32, i16),
+    Pred(u32, bool),
+}
+
+/// Reusable per-step buffers of the fast path: what one word produces,
+/// held until the end of its cycle. [`Simulator::step`] takes them out
+/// of the simulator for the word and puts them back cleared, so a step
+/// allocates nothing in steady state.
+#[derive(Debug, Default)]
+struct WordScratch {
+    /// Stores, as `(cluster, bank, addr, value)`.
+    stores: Vec<(u8, u8, u32, i16)>,
+    /// Banks swapping their buffers, as `(cluster, bank)`.
+    swaps: Vec<(u8, u8)>,
+    /// Register results entering the bypass network, as
+    /// `(cluster, reg, value, latency)`.
+    reg_writes: Vec<(u8, u16, i16, u32)>,
+    /// Predicate results, as `(cluster, pred, value, latency)`.
+    pred_writes: Vec<(u8, u8, bool, u32)>,
+}
+
+impl WordScratch {
+    fn clear(&mut self) {
+        self.stores.clear();
+        self.swaps.clear();
+        self.reg_writes.clear();
+        self.pred_writes.clear();
+    }
 }
 
 /// A full snapshot of the architectural state of a simulator: every
@@ -105,6 +132,33 @@ pub struct ArchState {
     /// processing buffer with processing buffer, I/O with I/O — because
     /// a `swapbuf` exchanges them.
     pub mems: Vec<Vec<LocalMemory>>,
+}
+
+impl ArchState {
+    /// Cuts a flat array laid out `cluster * width + index` into its
+    /// `clusters` rows of `width` entries: the `[cluster][index]` shape
+    /// of [`ArchState::regs`], [`ArchState::preds`] and
+    /// [`ArchState::mems`], for snapshots of state kept flat.
+    pub fn flat_rows<T: Clone>(flat: &[T], clusters: usize, width: usize) -> Vec<Vec<T>> {
+        (0..clusters)
+            .map(|c| flat[c * width..(c + 1) * width].to_vec())
+            .collect()
+    }
+
+    /// Whether `rows` equals [`ArchState::flat_rows`] of the same
+    /// arguments, decided in place without building the rows.
+    pub fn rows_match_flat<T: PartialEq>(
+        rows: &[Vec<T>],
+        flat: &[T],
+        clusters: usize,
+        width: usize,
+    ) -> bool {
+        rows.len() == clusters
+            && rows
+                .iter()
+                .enumerate()
+                .all(|(c, row)| *row == flat[c * width..(c + 1) * width])
+    }
 }
 
 /// Cycle-accurate simulator for one program on one machine.
@@ -138,10 +192,22 @@ pub struct Simulator<
     /// what [`Simulator::step`] actually executes.
     decoded: DecodedProgram,
     policy: HazardPolicy,
-    regs: Vec<Vec<i16>>,
-    reg_ready: Vec<Vec<u64>>,
-    preds: Vec<Vec<bool>>,
-    pred_ready: Vec<Vec<u64>>,
+    /// Registers per cluster: the row width of `regs` and `reg_ready`.
+    nregs: usize,
+    /// Predicates per cluster: the row width of `preds` and
+    /// `pred_ready`.
+    npreds: usize,
+    /// General registers, one flat array: cluster `c`'s register `r`
+    /// is `regs[c * nregs + r]`, so a checkpoint copies it with one
+    /// `memcpy`.
+    regs: Vec<i16>,
+    /// Cycle at which each register's last scheduled result lands,
+    /// laid out like `regs`.
+    reg_ready: Vec<u64>,
+    /// Predicate registers, flat like `regs` (row width `npreds`).
+    preds: Vec<bool>,
+    /// Cycle at which each predicate's last scheduled result lands.
+    pred_ready: Vec<u64>,
     mems: Vec<Vec<LocalMemory>>,
     /// Pending commits within the next `PENDING_SLOTS` cycles, indexed
     /// by `cycle % PENDING_SLOTS` (allocation-free in steady state).
@@ -172,16 +238,8 @@ pub struct Simulator<
     /// Clusters with a non-zero entry in `word_cluster_ops`, so the
     /// per-word drain touches only busy clusters.
     word_touched: Vec<ClusterId>,
-    /// Reusable per-step scratch: stores buffered to the end of the
-    /// cycle as `(cluster, bank, addr, value)`.
-    scratch_stores: Vec<(u8, u8, u32, i16)>,
-    /// Reusable per-step scratch: banks swapping at the end of cycle.
-    scratch_swaps: Vec<(u8, u8)>,
-    /// Reusable per-step scratch: register results entering the bypass
-    /// network as `(cluster, reg, value, latency)`.
-    scratch_reg_writes: Vec<(u8, u16, i16, u32)>,
-    /// Reusable per-step scratch: predicate results.
-    scratch_pred_writes: Vec<(u8, u8, bool, u32)>,
+    /// The fast path's per-step buffers.
+    scratch: WordScratch,
     /// Fast-path per-class op counters, indexed by `FuClass` discriminant;
     /// folded into `RunStats::ops_by_class` by [`Simulator::stats`] so
     /// the hot loop skips the map lookup the interpretive path pays.
@@ -315,8 +373,8 @@ impl<'a, S: TraceSink, F: FaultModel, M: Recorder> Simulator<'a, S, F, M> {
         recorder: M,
     ) -> Self {
         let clusters = machine.clusters as usize;
-        let regs = machine.cluster.registers as usize;
-        let preds = machine.cluster.pred_regs as usize;
+        let nregs = machine.cluster.registers as usize;
+        let npreds = machine.cluster.pred_regs as usize;
         let mut icache = InstructionCache::new(machine.icache_words, machine.icache_refill_cycles);
         icache.warm(program.len());
         Simulator {
@@ -324,10 +382,12 @@ impl<'a, S: TraceSink, F: FaultModel, M: Recorder> Simulator<'a, S, F, M> {
             program,
             decoded,
             policy: HazardPolicy::Fault,
-            regs: vec![vec![0; regs]; clusters],
-            reg_ready: vec![vec![0; regs]; clusters],
-            preds: vec![vec![false; preds]; clusters],
-            pred_ready: vec![vec![0; preds]; clusters],
+            nregs,
+            npreds,
+            regs: vec![0; clusters * nregs],
+            reg_ready: vec![0; clusters * nregs],
+            preds: vec![false; clusters * npreds],
+            pred_ready: vec![0; clusters * npreds],
             mems: (0..clusters)
                 .map(|_| {
                     machine
@@ -355,10 +415,7 @@ impl<'a, S: TraceSink, F: FaultModel, M: Recorder> Simulator<'a, S, F, M> {
             window: MetricsWindow::default(),
             word_cluster_ops: vec![0; clusters],
             word_touched: Vec::with_capacity(clusters),
-            scratch_stores: Vec::new(),
-            scratch_swaps: Vec::new(),
-            scratch_reg_writes: Vec::new(),
-            scratch_pred_writes: Vec::new(),
+            scratch: WordScratch::default(),
             fast_class_ops: [0; 6],
         }
     }
@@ -418,21 +475,46 @@ impl<'a, S: TraceSink, F: FaultModel, M: Recorder> Simulator<'a, S, F, M> {
         self.policy = policy;
     }
 
+    /// Flat index of `cluster`'s register `reg` in `regs` and
+    /// `reg_ready`. Validation keeps a program's register indices
+    /// inside the file, so the step loop indexes with this directly.
+    #[inline]
+    fn reg_slot(&self, cluster: ClusterId, reg: u16) -> usize {
+        cluster as usize * self.nregs + reg as usize
+    }
+
+    /// Flat index of `cluster`'s predicate `pred` in `preds` and
+    /// `pred_ready`.
+    #[inline]
+    fn pred_slot(&self, cluster: ClusterId, pred: u8) -> usize {
+        cluster as usize * self.npreds + pred as usize
+    }
+
+    /// Flat index of a register named through the public API, which
+    /// panics on an index outside the cluster's file rather than
+    /// reaching into the next cluster's row.
+    fn checked_reg_slot(&self, cluster: ClusterId, reg: Reg) -> usize {
+        assert!(reg.index() < self.nregs, "register {reg} out of range");
+        self.reg_slot(cluster, reg.0)
+    }
+
     /// Current value of a general register.
     pub fn reg(&self, cluster: ClusterId, reg: Reg) -> i16 {
-        self.regs[cluster as usize][reg.index()]
+        self.regs[self.checked_reg_slot(cluster, reg)]
     }
 
     /// Sets a general register (test/workload setup); the value is
     /// immediately readable.
     pub fn set_reg(&mut self, cluster: ClusterId, reg: Reg, value: i16) {
-        self.regs[cluster as usize][reg.index()] = value;
-        self.reg_ready[cluster as usize][reg.index()] = 0;
+        let slot = self.checked_reg_slot(cluster, reg);
+        self.regs[slot] = value;
+        self.reg_ready[slot] = 0;
     }
 
     /// Current value of a predicate register.
     pub fn pred(&self, cluster: ClusterId, pred: Pred) -> bool {
-        self.preds[cluster as usize][pred.index()]
+        assert!(pred.index() < self.npreds, "predicate {pred} out of range");
+        self.preds[self.pred_slot(cluster, pred.0)]
     }
 
     /// A cluster's memory bank.
@@ -456,11 +538,12 @@ impl<'a, S: TraceSink, F: FaultModel, M: Recorder> Simulator<'a, S, F, M> {
     /// paths or simulators. The banks are copied row by row: a snapshot
     /// costs the rows the run wrote, not the machine's SRAM.
     pub fn arch_state(&self) -> ArchState {
+        let clusters = self.mems.len();
         ArchState {
             cycle: self.cycle,
             halted: self.halted,
-            regs: self.regs.clone(),
-            preds: self.preds.clone(),
+            regs: ArchState::flat_rows(&self.regs, clusters, self.nregs),
+            preds: ArchState::flat_rows(&self.preds, clusters, self.npreds),
             mems: self.mems.clone(),
         }
     }
@@ -472,10 +555,11 @@ impl<'a, S: TraceSink, F: FaultModel, M: Recorder> Simulator<'a, S, F, M> {
     /// verdict primitive.
     #[must_use]
     pub fn state_matches(&self, reference: &ArchState) -> bool {
+        let clusters = self.mems.len();
         reference.cycle == self.cycle
             && reference.halted == self.halted
-            && reference.regs == self.regs
-            && reference.preds == self.preds
+            && ArchState::rows_match_flat(&reference.regs, &self.regs, clusters, self.nregs)
+            && ArchState::rows_match_flat(&reference.preds, &self.preds, clusters, self.npreds)
             && reference.mems == self.mems
     }
 

@@ -28,12 +28,17 @@ use super::{Commit, Simulator};
 /// in between; any other checkpoint is copied whole, so every
 /// checkpoint stays restorable in any order. A clone is a checkpoint
 /// no simulator has synced with.
+///
+/// Registers, predicates and their ready times are flat arrays, as in
+/// the simulator, and the icache tags are four bytes a line: apart from
+/// the memory rows, taking or restoring a checkpoint is a handful of
+/// `memcpy`s.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    regs: Vec<Vec<i16>>,
-    reg_ready: Vec<Vec<u64>>,
-    preds: Vec<Vec<bool>>,
-    pred_ready: Vec<Vec<u64>>,
+    regs: Vec<i16>,
+    reg_ready: Vec<u64>,
+    preds: Vec<bool>,
+    pred_ready: Vec<u64>,
     mems: Vec<Vec<LocalMemory>>,
     pending_ring: Vec<Vec<Commit>>,
     pending_count: usize,
@@ -119,17 +124,19 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
     ///
     /// Statistics roll back too (the discarded cycles never happened on
     /// the surviving timeline); the `vsp-fault` recovery loop accounts
-    /// the thrown-away work separately as `recovery_cycles`. Per-step
-    /// scratch state is cleared — a step aborted mid-word by a fault may
-    /// have left it dirty.
+    /// the thrown-away work separately as `recovery_cycles`. The
+    /// per-word occupancy counts are cleared — a step aborted mid-word
+    /// by a fault may have left them dirty.
     pub fn restore(&mut self, cp: &Checkpoint) {
         self.regs.clone_from(&cp.regs);
         self.reg_ready.clone_from(&cp.reg_ready);
         self.preds.clone_from(&cp.preds);
         self.pred_ready.clone_from(&cp.pred_ready);
-        debug_assert_eq!(
-            cp.mems.iter().map(Vec::len).collect::<Vec<_>>(),
-            self.mems.iter().map(Vec::len).collect::<Vec<_>>(),
+        debug_assert!(
+            cp.mems
+                .iter()
+                .map(Vec::len)
+                .eq(self.mems.iter().map(Vec::len)),
             "checkpoint from another machine"
         );
         for (banks, saved) in self.mems.iter_mut().zip(&cp.mems) {
@@ -152,10 +159,6 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
             *n = 0;
         }
         self.word_touched.clear();
-        self.scratch_stores.clear();
-        self.scratch_swaps.clear();
-        self.scratch_reg_writes.clear();
-        self.scratch_pred_writes.clear();
     }
 
     /// Syncs every bank into `saved`, first giving it the machine's

@@ -5,7 +5,7 @@ use std::fmt;
 use vsp_isa::FuClass;
 
 /// Statistics gathered over one simulation run.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct RunStats {
     /// Total cycles elapsed (including stalls).
     pub cycles: u64,
@@ -60,6 +60,32 @@ pub struct RunStats {
     /// Cycles of work discarded by checkpoint rollbacks (re-executed
     /// cycles; the recovery overhead on top of `cycles`).
     pub recovery_cycles: u64,
+}
+
+impl Clone for RunStats {
+    fn clone(&self) -> Self {
+        RunStats {
+            ops_by_class: self.ops_by_class.clone(),
+            ops_by_cluster: self.ops_by_cluster.clone(),
+            util_histogram: self.util_histogram.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies `source` into this value's per-cluster buffers instead of
+    /// new ones: checkpoints refresh and restore statistics this way.
+    fn clone_from(&mut self, source: &Self) {
+        let mut ops_by_cluster = std::mem::take(&mut self.ops_by_cluster);
+        let mut util_histogram = std::mem::take(&mut self.util_histogram);
+        ops_by_cluster.clone_from(&source.ops_by_cluster);
+        util_histogram.clone_from(&source.util_histogram);
+        *self = RunStats {
+            ops_by_class: source.ops_by_class.clone(),
+            ops_by_cluster,
+            util_histogram,
+            ..*source
+        };
+    }
 }
 
 impl RunStats {
@@ -261,6 +287,29 @@ mod tests {
             ..RunStats::default()
         };
         assert_eq!(s.productive_cycles(), 84);
+    }
+
+    #[test]
+    fn clone_from_copies_everything_into_the_existing_buffers() {
+        let mut source = RunStats {
+            cycles: 9,
+            words: 8,
+            loads: 3,
+            recovery_cycles: 2,
+            ..RunStats::default()
+        };
+        source.record_op(FuClass::Mul, 2);
+        source.record_cluster_word(2, 1);
+        let mut target = RunStats {
+            ops_by_cluster: vec![7; 8],
+            util_histogram: vec![vec![1; 4]; 8],
+            ..RunStats::default()
+        };
+        let buffer = target.ops_by_cluster.as_ptr();
+        target.clone_from(&source);
+        assert_eq!(target, source);
+        assert_eq!(target, source.clone());
+        assert_eq!(target.ops_by_cluster.as_ptr(), buffer, "buffer reused");
     }
 
     #[test]

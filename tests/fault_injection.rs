@@ -391,7 +391,7 @@ fn recover_with_fresh_checkpoints<F: FaultModel>(
 ) -> RecoveryOutcome {
     let mut interval = cfg.checkpoint_interval.max(1);
     let (mut detected, mut corrected, mut uncorrectable) = (0u64, 0u64, 0u64);
-    let (mut recovery_cycles, mut retries) = (0u64, 0u64);
+    let (mut recovery_cycles, mut retries, mut checkpoints) = (0u64, 0u64, 0u64);
     let mut error = None;
     'regions: while !sim.is_halted() {
         if sim.cycle() >= cfg.max_cycles {
@@ -401,6 +401,7 @@ fn recover_with_fresh_checkpoints<F: FaultModel>(
             break;
         }
         let cp = sim.checkpoint();
+        checkpoints += 1;
         let mut region_detections = 0u64;
         loop {
             let start = sim.cycle();
@@ -446,6 +447,7 @@ fn recover_with_fresh_checkpoints<F: FaultModel>(
         halted: sim.is_halted(),
         error,
         retries,
+        checkpoints,
         stats,
     }
 }
