@@ -224,12 +224,7 @@ fn run() -> Result<(), String> {
             None => " | modulo: infeasible".to_string(),
         }
     );
-    let pass_chain: Vec<&str> = result
-        .report
-        .passes
-        .iter()
-        .map(|p| p.pass.as_str())
-        .collect();
+    let pass_chain: Vec<&str> = result.report.passes.iter().map(|p| p.kind.name()).collect();
     println!("passes: {}", pass_chain.join(" -> "));
     println!(
         "events: {} scheduler + {} simulator ({} dropped)",

@@ -43,7 +43,7 @@ pub fn compute() -> Conclusions {
     let per_machine: Vec<(MachineConfig, Vec<Row>)> = machines
         .into_iter()
         .map(|m| {
-            let rows = table1_rows(&m);
+            let rows = table1_rows(&m).unwrap_or_else(|e| panic!("{e}"));
             (m, rows)
         })
         .collect();

@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use std::hash::{DefaultHasher, Hasher};
 use std::sync::Mutex;
 use vsp_core::MachineConfig;
-use vsp_kernels::variants::{self, Row, TableRow};
+use vsp_kernels::variants::{self, Row, RowError, TableRow};
 use vsp_metrics::{Recorder, SharedRegistry, Stopwatch};
 
 /// One per-machine row generator: a kernel's full variant sweep, the
@@ -70,7 +70,7 @@ impl RowSource {
 
     /// Computes this source's rows for one machine (the expensive cell:
     /// transform pipeline + scheduling).
-    fn rows(self, machine: &MachineConfig) -> Vec<Row> {
+    fn rows(self, machine: &MachineConfig) -> Result<Vec<Row>, RowError> {
         match self {
             RowSource::FullSearch => variants::full_search_rows(machine),
             RowSource::ThreeStep => variants::three_step_rows(machine),
@@ -174,7 +174,17 @@ impl EvalEngine {
     /// Evaluates `sources` × `machines` and stitches the cells into
     /// table rows, byte-identical to
     /// `assemble_table(machines, |m| sources-concatenated rows)`.
-    pub fn assemble(&self, machines: &[MachineConfig], sources: &[RowSource]) -> Vec<TableRow> {
+    ///
+    /// # Errors
+    ///
+    /// The first failing cell's [`RowError`], in (machine, source)
+    /// order, as `assemble_table` reports it; failed cells are not
+    /// memoized.
+    pub fn assemble(
+        &self,
+        machines: &[MachineConfig],
+        sources: &[RowSource],
+    ) -> Result<Vec<TableRow>, RowError> {
         // Work list: every (machine, source) cell not already cached,
         // deduplicated by content key so identical machines are
         // computed once.
@@ -209,15 +219,16 @@ impl EvalEngine {
         };
         let batch = Stopwatch::start();
         let cells = jobs.len();
-        let computed: Vec<((u64, RowSource), Vec<Row>)> =
-            vsp_dse::par_map(jobs, || (), |(), job| eval_cell(job));
+        let computed = vsp_dse::par_map(jobs, || (), |(), job| eval_cell(job));
         self.record_batch(cells, batch.elapsed_micros());
         {
             let mut cache = self.cache.lock().expect("eval cache poisoned");
-            cache.extend(computed);
+            for (cell, rows) in computed {
+                cache.insert(cell, rows?);
+            }
         }
 
-        self.stitch(machines, sources)
+        Ok(self.stitch(machines, sources))
     }
 
     /// Stitches cached cells into table rows: per-machine columns are
@@ -250,12 +261,20 @@ impl EvalEngine {
     }
 
     /// Table 1's rows for `machines`.
-    pub fn table1(&self, machines: &[MachineConfig]) -> Vec<TableRow> {
+    ///
+    /// # Errors
+    ///
+    /// As [`EvalEngine::assemble`].
+    pub fn table1(&self, machines: &[MachineConfig]) -> Result<Vec<TableRow>, RowError> {
         self.assemble(machines, &RowSource::TABLE1)
     }
 
     /// Table 2's rows for `machines`.
-    pub fn table2(&self, machines: &[MachineConfig]) -> Vec<TableRow> {
+    ///
+    /// # Errors
+    ///
+    /// As [`EvalEngine::assemble`].
+    pub fn table2(&self, machines: &[MachineConfig]) -> Result<Vec<TableRow>, RowError> {
         self.assemble(machines, &RowSource::TABLE2)
     }
 }
@@ -289,11 +308,11 @@ mod tests {
     #[test]
     fn cache_is_shared_across_tables() {
         let engine = EvalEngine::new();
-        engine.table1(&models::table1_models());
+        engine.table1(&models::table1_models()).unwrap();
         let after_t1 = engine.cached_cells();
         // 5 machines × 6 kernels = 30 cells.
         assert_eq!(after_t1, 30);
-        engine.table2(&models::table2_models());
+        engine.table2(&models::table2_models()).unwrap();
         // Table 2 shares I4C8S4/I4C8S5/I2C16S5 columns and both DCT
         // kernels with Table 1: only the two m16 machines add cells.
         assert_eq!(engine.cached_cells(), after_t1 + 4);
@@ -301,7 +320,7 @@ mod tests {
 
     #[test]
     fn empty_machine_list_yields_empty_table() {
-        assert!(EvalEngine::new().table1(&[]).is_empty());
+        assert!(EvalEngine::new().table1(&[]).unwrap().is_empty());
     }
 
     #[test]
@@ -337,7 +356,7 @@ mod tests {
             .is_some());
 
         // A second identical call is served from cache: hits only.
-        engine.table2(&machines);
+        engine.table2(&machines).unwrap();
         let snap = reg.snapshot();
         assert_eq!(
             snap.counter("vsp_eval_cache_misses_total", &[]),

@@ -164,7 +164,7 @@ fn render_table(machines: &[MachineConfig], rows: &[TableRow]) -> String {
 /// models (serial reference path).
 pub fn table1() -> String {
     let machines = models::table1_models();
-    let rows = assemble_table(&machines, table1_rows);
+    let rows = assemble_table(&machines, table1_rows).unwrap_or_else(|e| panic!("{e}"));
     format!(
         "Table 1: Performance Simulations (cycles per 720x480 frame)\n{}",
         render_table(&machines, &rows)
@@ -175,7 +175,7 @@ pub fn table1() -> String {
 /// reference path).
 pub fn table2() -> String {
     let machines = models::table2_models();
-    let rows = assemble_table(&machines, table2_rows);
+    let rows = assemble_table(&machines, table2_rows).unwrap_or_else(|e| panic!("{e}"));
     format!(
         "Table 2: Impact of 16-bit Multipliers\n{}",
         render_table(&machines, &rows)
@@ -186,7 +186,7 @@ pub fn table2() -> String {
 /// byte-identical output to [`table1`].
 pub fn table1_with(engine: &crate::EvalEngine) -> String {
     let machines = models::table1_models();
-    let rows = engine.table1(&machines);
+    let rows = engine.table1(&machines).unwrap_or_else(|e| panic!("{e}"));
     format!(
         "Table 1: Performance Simulations (cycles per 720x480 frame)\n{}",
         render_table(&machines, &rows)
@@ -197,7 +197,7 @@ pub fn table1_with(engine: &crate::EvalEngine) -> String {
 /// [`table2`].
 pub fn table2_with(engine: &crate::EvalEngine) -> String {
     let machines = models::table2_models();
-    let rows = engine.table2(&machines);
+    let rows = engine.table2(&machines).unwrap_or_else(|e| panic!("{e}"));
     format!(
         "Table 2: Impact of 16-bit Multipliers\n{}",
         render_table(&machines, &rows)
@@ -216,7 +216,7 @@ pub fn ablation_dualport() -> String {
     )
     .unwrap();
     for (label, m) in [("I4C8S4", &base), ("I4C8S4D2", &dual), ("I2C16S4", &narrow)] {
-        let rows = vsp_kernels::variants::full_search_rows(m);
+        let rows = vsp_kernels::variants::full_search_rows(m).unwrap_or_else(|e| panic!("{e}"));
         let swp = rows
             .iter()
             .find(|r| r.variant == "SW pipelined & unrolled")

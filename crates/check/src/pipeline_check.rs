@@ -34,7 +34,7 @@
 //! options.validator = Some(&validator);
 //! let result =
 //!     vsp_sched::compile_with(&kernel, &models::i4c8s4(), &strategy, &mut options).unwrap();
-//! assert!(result.ii().is_some());
+//! assert!(result.summary().ii().is_some());
 //! ```
 
 use crate::validity::{check_list_schedule, check_modulo_schedule};
@@ -108,7 +108,7 @@ mod tests {
             let result =
                 vsp_sched::compile_with(&kernel, &models::i4c8s4(), &strategy, &mut options)
                     .expect("checker passes real schedules");
-            assert!(result.length().is_some());
+            assert!(result.summary().length().is_some());
         }
     }
 

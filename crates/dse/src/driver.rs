@@ -14,16 +14,11 @@
 //! for every other survivor of the shape, so evaluation costs one
 //! compile pass per shape, not per survivor. The
 //! catalog was hand-tuned for the seven paper models; on foreign
-//! machines individual recipes may fail, which the paper machinery
-//! reports by panicking — the driver confines each point's evaluation
-//! and counts the casualties (`eval_failures`) instead of dying. Only
-//! those confined panics are kept quiet: a panic anywhere else, on any
-//! thread, reaches the panic hook as it would without a search.
+//! machines individual recipes may fail, which the rows report as a
+//! [`vsp_kernels::variants::RowError`] — the driver counts such points
+//! as evaluation failures (`eval_failures`) and goes on.
 
 use crate::pareto;
-use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Once;
 use vsp_core::{validate_config, MachineConfig, MachineParams};
 use vsp_kernels::variants::{compile_counts, table1_rows, KernelId, Row};
 use vsp_metrics::{NullRecorder, Recorder};
@@ -144,35 +139,9 @@ fn best_cycles(rows: &[Row], kernel: KernelId) -> Option<u64> {
         .min()
 }
 
-thread_local! {
-    /// Set while this thread evaluates a machine, whose panics
-    /// [`evaluate_machine`] catches and counts.
-    static CONFINED: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Runs `f`, catching its panic quietly: the process's panic hook stays
-/// silent for it. Once per process this wraps the installed hook in one
-/// that skips the panics raised inside such a call and passes every
-/// other panic, on any thread, to the hook it wrapped.
-fn catch_quietly<T>(f: impl FnOnce() -> T) -> Option<T> {
-    static WRAP: Once = Once::new();
-    WRAP.call_once(|| {
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !CONFINED.with(Cell::get) {
-                hook(info);
-            }
-        }));
-    });
-    let outer = CONFINED.with(|c| c.replace(true));
-    let result = catch_unwind(AssertUnwindSafe(f));
-    CONFINED.with(|c| c.set(outer));
-    result.ok()
-}
-
 /// Evaluates one priced machine on the six-kernel suite. `None` when
-/// the strategy catalog cannot compile the suite for this shape (the
-/// failing recipe's panic is caught without a message).
+/// the strategy catalog cannot compile the suite for this shape (a
+/// Table 1 row returns a [`vsp_kernels::variants::RowError`]).
 pub fn evaluate_machine(
     machine: &MachineConfig,
     params: Option<MachineParams>,
@@ -180,7 +149,7 @@ pub fn evaluate_machine(
     area_mm2: f64,
     power_watts: f64,
 ) -> Option<EvaluatedPoint> {
-    let rows = catch_quietly(|| table1_rows(machine))?;
+    let rows = table1_rows(machine).ok()?;
     let order = [
         KernelId::FullSearch,
         KernelId::ThreeStep,
@@ -291,8 +260,8 @@ pub fn search_recorded<R: Recorder>(
     // (`vsp_kernels::variants`), so survivors are grouped by shape and
     // each group runs on one worker: no two workers compile the same
     // shape at once, and all but a group's first survivor reuse its
-    // schedules. Panics from inapplicable catalog recipes are confined
-    // per point, without a message (`evaluate_machine`).
+    // schedules. A point whose catalog recipes cannot compile evaluates
+    // to `None` (`evaluate_machine`) and counts as a failure.
     let mut groups: Vec<(CompileShape, Vec<usize>)> = Vec::new();
     for (i, (_, m, ..)) in survivors.iter().enumerate() {
         let shape = CompileShape::of(m);

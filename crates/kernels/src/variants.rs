@@ -37,12 +37,12 @@ use crate::strategies;
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use vsp_core::{models, MachineConfig};
 use vsp_ir::Kernel;
-use vsp_sched::cost::simd_cycles;
 use vsp_sched::{
     lower_and_schedule, transform, CompileOptions, CompileShape, LoopControlMode, PassConfig,
     PipelineReport, SchedError, ScheduleScope, ScheduleSummary, SchedulerChoice, Strategy,
@@ -90,6 +90,44 @@ pub struct Row {
     pub cycles: u64,
 }
 
+/// A Table 1 row that could not be computed: one of its compiles failed.
+///
+/// Several rows share one compile, so the error names the kernel whose
+/// rows were being built, not a single variant.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowError {
+    /// The Table 1 kernel whose rows were being built.
+    pub kernel: KernelId,
+    /// The catalog recipe that failed.
+    pub recipe: String,
+    /// Name of the machine compiled for: the row's machine, its
+    /// absolute-difference twin (`+AD`), or its simple-addressing twin
+    /// (which keeps the row machine's name).
+    pub machine: String,
+    /// Why the compile failed, or why the row could not read its
+    /// schedule.
+    pub error: SchedError,
+}
+
+impl fmt::Display for RowError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}: recipe {} fails on {}: {}",
+            self.kernel.title(),
+            self.recipe,
+            self.machine,
+            self.error
+        )
+    }
+}
+
+impl std::error::Error for RowError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.error)
+    }
+}
+
 /// A full table row: one variant across several machines.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableRow {
@@ -121,6 +159,12 @@ const BLOCK_OVERHEAD: u64 = 16;
 // ---------------------------------------------------------------------
 // Shared machinery
 // ---------------------------------------------------------------------
+
+/// Distributes `jobs` identical jobs over `groups` parallel cluster
+/// groups, each job costing `job_cycles` (SIMD-style replication).
+fn simd_cycles(job_cycles: u64, jobs: u64, groups: u64) -> u64 {
+    jobs.div_ceil(groups.max(1)) * job_cycles
+}
 
 /// Total SAD jobs per frame for the full search.
 fn full_search_jobs() -> u64 {
@@ -313,18 +357,11 @@ pub struct Recipe {
 }
 
 /// Every compile [`table1_rows`] performs for `machine`, in call order
-/// (a pair reused by several rows appears once per use).
+/// (a pair reused by several rows appears once per use). A failing
+/// compile ends the list: it is the last recipe.
 pub fn table1_recipes(machine: &MachineConfig) -> Vec<Recipe> {
-    /// Stops collecting even when a recipe panics.
-    struct Collecting;
-    impl Drop for Collecting {
-        fn drop(&mut self) {
-            RECIPES.with(|r| r.borrow_mut().take());
-        }
-    }
     RECIPES.with(|r| *r.borrow_mut() = Some(Vec::new()));
-    let _collecting = Collecting;
-    table1_rows(machine);
+    let _ = table1_rows(machine);
     RECIPES.with(|r| r.borrow_mut().take().unwrap_or_default())
 }
 
@@ -413,10 +450,19 @@ fn summary(
 }
 
 /// Runs a catalog [`Strategy`] over a kernel through the unified
-/// pipeline, memoized ([`Recipe::summary`]); every row below goes
-/// through here, so the whole table derives from declarative recipes.
-/// A failing recipe panics.
-fn run(machine: &MachineConfig, kernel: Catalog, strategy: &Strategy) -> ScheduleSummary {
+/// pipeline, memoized ([`Recipe::summary`]), and reads one number of its
+/// schedule with `number` (a [`ScheduleSummary`] accessor). Every row
+/// below goes through here, so the whole table derives from declarative
+/// recipes, and this is the one place a failing compile, or a recipe
+/// whose backend lacks the number the row reads, becomes a [`RowError`]
+/// for the rows of `row_kernel`.
+fn run<T>(
+    row_kernel: KernelId,
+    machine: &MachineConfig,
+    kernel: Catalog,
+    strategy: &Strategy,
+    number: impl FnOnce(&ScheduleSummary) -> Option<T>,
+) -> Result<T, RowError> {
     let kernel = kernel.kernel();
     RECIPES.with(|r| {
         if let Some(recipes) = r.borrow_mut().as_mut() {
@@ -428,15 +474,32 @@ fn run(machine: &MachineConfig, kernel: Catalog, strategy: &Strategy) -> Schedul
         }
     });
     summary(machine, &kernel, strategy)
-        .unwrap_or_else(|e| panic!("recipe {} fails on {}: {e}", strategy.name, machine.name))
+        .and_then(|summary| {
+            number(&summary).ok_or_else(|| SchedError::Pipeline {
+                pass: "schedule",
+                detail: format!(
+                    "the row reads a number its {:?} schedule does not have",
+                    strategy.scheduler
+                ),
+            })
+        })
+        .map_err(|error| RowError {
+            kernel: row_kernel,
+            recipe: strategy.name.clone(),
+            machine: machine.name.clone(),
+            error,
+        })
 }
 
 /// Sequential cycles of a whole kernel under a catalog recipe's
 /// transforms — the paper's "one operation per instruction" baseline.
-fn seq_cycles(machine: &MachineConfig, kernel: Catalog, strategy: &Strategy) -> u64 {
-    run(machine, kernel, strategy)
-        .seq_cycles()
-        .expect("sequential recipes use the sequential backend")
+fn seq_cycles(
+    row_kernel: KernelId,
+    machine: &MachineConfig,
+    kernel: Catalog,
+    strategy: &Strategy,
+) -> Result<u64, RowError> {
+    run(row_kernel, machine, kernel, strategy, |s| s.seq_cycles())
 }
 
 /// Simple-addressing twin of a machine: the rolled sequential baselines
@@ -455,36 +518,38 @@ fn simple_twin(machine: &MachineConfig) -> MachineConfig {
 
 /// Cycles for one SAD job under software pipelining of the row loop
 /// (the [`strategies::sad_pipelined`] recipe).
-fn sad_swp_job(machine: &MachineConfig) -> u64 {
-    run(machine, Catalog::Sad, &strategies::sad_pipelined())
-        .loop_cycles()
-        .expect("first-loop modulo recipe")
-        + POS_OVERHEAD_PAR
+fn sad_swp_job(kernel: KernelId, machine: &MachineConfig) -> Result<u64, RowError> {
+    let strategy = strategies::sad_pipelined();
+    let cycles = run(kernel, machine, Catalog::Sad, &strategy, |s| {
+        s.loop_cycles()
+    })?;
+    Ok(cycles + POS_OVERHEAD_PAR)
 }
 
 /// Cycles for one SAD job with both loops unrolled (single pipeline
 /// fill; the [`strategies::sad_flattened`] recipe).
-fn sad_flat_job(machine: &MachineConfig) -> u64 {
-    run(machine, Catalog::Sad, &strategies::sad_flattened())
-        .length()
-        .expect("whole-body list recipe")
-        + POS_OVERHEAD_PAR
+fn sad_flat_job(kernel: KernelId, machine: &MachineConfig) -> Result<u64, RowError> {
+    let strategy = strategies::sad_flattened();
+    let cycles = run(kernel, machine, Catalog::Sad, &strategy, |s| s.length())?;
+    Ok(cycles + POS_OVERHEAD_PAR)
 }
 
 /// Cycles per blocked iteration group (G position-pixels per loop trip):
 /// the blocked loop is unrolled by 2 to amortize induction overhead, as
 /// the paper's "taking advantage of the unrolled loop structure" does
 /// (the [`strategies::sad_blocked`] recipe).
-fn sad_blocked_job(machine: &MachineConfig, group: u32) -> (u64, u64) {
-    let r = run(
+fn sad_blocked_job(
+    kernel: KernelId,
+    machine: &MachineConfig,
+    group: u32,
+) -> Result<(u64, u64), RowError> {
+    // II covers two groups per initiation.
+    run(
+        kernel,
         machine,
         Catalog::SadBlocked(group),
         &strategies::sad_blocked(),
-    );
-    // II covers two groups per initiation.
-    (
-        r.ii().expect("modulo recipe"),
-        r.length().expect("modulo recipe"),
+        |s| s.ii().zip(s.length()),
     )
 }
 
@@ -495,14 +560,19 @@ fn motion_rows(
     pos_par: u64,
     blocked_group: u32,
     kernel: KernelId,
-) -> Vec<Row> {
+) -> Result<Vec<Row>, RowError> {
     let clusters = u64::from(machine.clusters);
     let mut rows = Vec::new();
 
     // Sequential–predicated: rolled loops, pointer-increment addressing
     // (machine-independent, as in the paper).
     let seq_machine = simple_twin(machine);
-    let seq = seq_cycles(&seq_machine, Catalog::Sad, &strategies::sequential()) + pos_seq;
+    let seq = seq_cycles(
+        kernel,
+        &seq_machine,
+        Catalog::Sad,
+        &strategies::sequential(),
+    )? + pos_seq;
     rows.push(Row {
         kernel,
         variant: "Sequential-predicated",
@@ -512,10 +582,11 @@ fn motion_rows(
     // Unrolled inner loop (still sequential): constant offsets now fold
     // into complex addressing.
     let unrolled = seq_cycles(
+        kernel,
         machine,
         Catalog::Sad,
         &strategies::unrolled_hoisted_sequential(),
-    ) + pos_seq;
+    )? + pos_seq;
     rows.push(Row {
         kernel,
         variant: "Unrolled Inner Loop",
@@ -527,7 +598,7 @@ fn motion_rows(
         kernel,
         variant: "SW pipelined & unrolled",
         cycles: simd_cycles(
-            sad_swp_job(machine) + pos_par - POS_OVERHEAD_PAR,
+            sad_swp_job(kernel, machine)? + pos_par - POS_OVERHEAD_PAR,
             jobs,
             clusters,
         ),
@@ -538,7 +609,7 @@ fn motion_rows(
         kernel,
         variant: "SW pipelined & unrolled 2 lev.",
         cycles: simd_cycles(
-            sad_flat_job(machine) + pos_par - POS_OVERHEAD_PAR,
+            sad_flat_job(kernel, machine)? + pos_par - POS_OVERHEAD_PAR,
             jobs,
             clusters,
         ),
@@ -550,7 +621,7 @@ fn motion_rows(
         kernel,
         variant: "Add spec. op (> cycle & area)",
         cycles: simd_cycles(
-            sad_flat_job(&ad) + pos_par - POS_OVERHEAD_PAR,
+            sad_flat_job(kernel, &ad)? + pos_par - POS_OVERHEAD_PAR,
             jobs,
             clusters,
         ),
@@ -560,27 +631,31 @@ fn motion_rows(
     // pixel pair.
     let pixel_positions = jobs * 256;
     let blocked = |m: &MachineConfig| {
-        let (ii, fill) = sad_blocked_job(m, blocked_group);
+        let (ii, fill) = sad_blocked_job(kernel, m, blocked_group)?;
         // One initiation covers two groups (the unroll-by-2 above).
         let inits = pixel_positions / u64::from(blocked_group) / 2;
-        simd_cycles(ii, inits, clusters) + fill + simd_cycles(pos_par, jobs, clusters)
+        Ok(simd_cycles(ii, inits, clusters) + fill + simd_cycles(pos_par, jobs, clusters))
     };
     rows.push(Row {
         kernel,
         variant: "Blocking/Loop Exchange",
-        cycles: blocked(machine),
+        cycles: blocked(machine)?,
     });
     rows.push(Row {
         kernel,
         variant: "Add spec. op (> cycle & area) [blocked]",
-        cycles: blocked(&ad),
+        cycles: blocked(&ad)?,
     });
 
-    rows
+    Ok(rows)
 }
 
 /// All Table 1 rows for the full motion search on one machine.
-pub fn full_search_rows(machine: &MachineConfig) -> Vec<Row> {
+///
+/// # Errors
+///
+/// The first compile that fails ([`RowError`]).
+pub fn full_search_rows(machine: &MachineConfig) -> Result<Vec<Row>, RowError> {
     motion_rows(
         machine,
         full_search_jobs(),
@@ -592,7 +667,11 @@ pub fn full_search_rows(machine: &MachineConfig) -> Vec<Row> {
 }
 
 /// All Table 1 rows for the three-step search on one machine.
-pub fn three_step_rows(machine: &MachineConfig) -> Vec<Row> {
+///
+/// # Errors
+///
+/// The first compile that fails ([`RowError`]).
+pub fn three_step_rows(machine: &MachineConfig) -> Result<Vec<Row>, RowError> {
     motion_rows(
         machine,
         three_step_jobs(),
@@ -621,19 +700,22 @@ fn unrolled_pass(narrow: bool, opt: bool) -> Catalog {
 /// Cycles for one 1-D pass: list-scheduled once, or the steady-state
 /// software-pipelined cost when the 16 passes of a block stream through
 /// the cluster.
-fn dct_pass_cycles(machine: &MachineConfig, narrow: bool, opt: bool, swp_mode: bool) -> u64 {
+fn dct_pass_cycles(
+    machine: &MachineConfig,
+    narrow: bool,
+    opt: bool,
+    swp_mode: bool,
+) -> Result<u64, RowError> {
     let k = unrolled_pass(narrow, opt);
+    let kernel = KernelId::DctRowCol;
     if swp_mode {
         // Steady state: one pass per II once the pipeline fills; the fill
         // amortizes across the block's 16 passes.
-        run(machine, k, &strategies::cleanup_pipelined())
-            .cycles_for(16)
-            .expect("modulo recipe")
-            / 16
+        let strategy = strategies::cleanup_pipelined();
+        Ok(run(kernel, machine, k, &strategy, |s| s.cycles_for(16))? / 16)
     } else {
-        run(machine, k, &strategies::cleanup_list())
-            .length()
-            .expect("list recipe")
+        let strategy = strategies::cleanup_list();
+        run(kernel, machine, k, &strategy, |s| s.length())
     }
 }
 
@@ -641,16 +723,27 @@ fn dct_pass_cycles(machine: &MachineConfig, narrow: bool, opt: bool, swp_mode: b
 /// `group` clusters (the "+unroll 2 levels & widen" schedules): each
 /// cluster pipelines `16/group` passes, plus a transpose exchange over
 /// the crossbar between the row and column halves.
-fn dct_pass_wide_cycles(machine: &MachineConfig, narrow: bool, group: u32) -> u64 {
+fn dct_pass_wide_cycles(
+    machine: &MachineConfig,
+    narrow: bool,
+    group: u32,
+) -> Result<u64, RowError> {
     let k = unrolled_pass(narrow, false);
-    let r = run(machine, k, &strategies::cleanup_pipelined());
     let passes = 16u64.div_ceil(u64::from(group));
+    let strategy = strategies::cleanup_pipelined();
+    let cycles = run(KernelId::DctRowCol, machine, k, &strategy, |s| {
+        s.cycles_for(passes)
+    })?;
     let transpose = 16 * u64::from(machine.pipeline.xfer_latency);
-    (r.cycles_for(passes).expect("modulo recipe") + transpose) / 16
+    Ok((cycles + transpose) / 16)
 }
 
 /// Row/column DCT rows.
-pub fn dct_rowcol_rows(machine: &MachineConfig) -> Vec<Row> {
+///
+/// # Errors
+///
+/// The first compile that fails ([`RowError`]).
+pub fn dct_rowcol_rows(machine: &MachineConfig) -> Result<Vec<Row>, RowError> {
     let blocks = CCIR601.blocks8();
     let clusters = u64::from(machine.clusters);
     let kernel = KernelId::DctRowCol;
@@ -658,8 +751,9 @@ pub fn dct_rowcol_rows(machine: &MachineConfig) -> Vec<Row> {
 
     // Residual samples exceed 8 bits, so both passes use wide multiplies
     // until the arithmetic optimization narrows the row pass.
-    let per_block_seq =
-        16 * seq_cycles(machine, Catalog::DctPass, &strategies::sequential()) + BLOCK_OVERHEAD;
+    let per_block_seq = 16
+        * seq_cycles(kernel, machine, Catalog::DctPass, &strategies::sequential())?
+        + BLOCK_OVERHEAD;
     rows.push(Row {
         kernel,
         variant: "Sequential-unoptimized",
@@ -667,24 +761,25 @@ pub fn dct_rowcol_rows(machine: &MachineConfig) -> Vec<Row> {
     });
 
     let unrolled_pass = seq_cycles(
+        kernel,
         machine,
         Catalog::DctPass,
         &strategies::unrolled_sequential(),
-    );
+    )?;
     rows.push(Row {
         kernel,
         variant: "Unrolled inner loop",
         cycles: (16 * unrolled_pass + BLOCK_OVERHEAD) * blocks,
     });
 
-    let per_block_list = 16 * dct_pass_cycles(machine, false, false, false) + BLOCK_OVERHEAD;
+    let per_block_list = 16 * dct_pass_cycles(machine, false, false, false)? + BLOCK_OVERHEAD;
     rows.push(Row {
         kernel,
         variant: "List Scheduled",
         cycles: simd_cycles(per_block_list, blocks, clusters),
     });
 
-    let per_block_swp = 16 * dct_pass_cycles(machine, false, false, true) + BLOCK_OVERHEAD;
+    let per_block_swp = 16 * dct_pass_cycles(machine, false, false, true)? + BLOCK_OVERHEAD;
     rows.push(Row {
         kernel,
         variant: "SW pipelined & predicated",
@@ -693,8 +788,8 @@ pub fn dct_rowcol_rows(machine: &MachineConfig) -> Vec<Row> {
 
     // Arithmetic optimization: the row pass keeps 8-bit precision (one
     // 8×8 multiply per MAC).
-    let per_block_opt = 8 * dct_pass_cycles(machine, true, true, true)
-        + 8 * dct_pass_cycles(machine, false, true, true)
+    let per_block_opt = 8 * dct_pass_cycles(machine, true, true, true)?
+        + 8 * dct_pass_cycles(machine, false, true, true)?
         + BLOCK_OVERHEAD;
     rows.push(Row {
         kernel,
@@ -704,18 +799,22 @@ pub fn dct_rowcol_rows(machine: &MachineConfig) -> Vec<Row> {
 
     // Unroll two levels and schedule across a 4-cluster group.
     let group = 4u32.min(machine.clusters);
-    let per_block_wide = 16 * dct_pass_wide_cycles(machine, false, group) + BLOCK_OVERHEAD;
+    let per_block_wide = 16 * dct_pass_wide_cycles(machine, false, group)? + BLOCK_OVERHEAD;
     rows.push(Row {
         kernel,
         variant: "+unroll 2 levels & widen",
         cycles: simd_cycles(per_block_wide, blocks, clusters / u64::from(group)),
     });
 
-    rows
+    Ok(rows)
 }
 
 /// Traditional (direct) DCT rows.
-pub fn dct_direct_rows(machine: &MachineConfig) -> Vec<Row> {
+///
+/// # Errors
+///
+/// The first compile that fails ([`RowError`]).
+pub fn dct_direct_rows(machine: &MachineConfig) -> Result<Vec<Row>, RowError> {
     let blocks = CCIR601.blocks8();
     let clusters = u64::from(machine.clusters);
     let kernel = KernelId::DctDirect;
@@ -723,32 +822,30 @@ pub fn dct_direct_rows(machine: &MachineConfig) -> Vec<Row> {
     let mut rows = Vec::new();
 
     // 64 output coefficients per block, each a full 64-term MAC loop.
-    let per_coeff_seq = seq_cycles(machine, mac, &strategies::sequential());
+    let per_coeff_seq = seq_cycles(kernel, machine, mac, &strategies::sequential())?;
     rows.push(Row {
         kernel,
         variant: "Sequential-unoptimized",
         cycles: (64 * per_coeff_seq + BLOCK_OVERHEAD) * blocks,
     });
 
-    let per_coeff_unrolled = seq_cycles(machine, mac, &strategies::unrolled_sequential());
+    let per_coeff_unrolled = seq_cycles(kernel, machine, mac, &strategies::unrolled_sequential())?;
     rows.push(Row {
         kernel,
         variant: "Unrolled inner loop",
         cycles: (64 * per_coeff_unrolled + BLOCK_OVERHEAD) * blocks,
     });
 
-    let per_coeff_list = run(machine, mac, &strategies::mac_list())
-        .loop_cycles()
-        .expect("first-loop list recipe");
+    let loop_cycles =
+        |strategy: &Strategy| run(kernel, machine, mac, strategy, |s| s.loop_cycles());
+    let per_coeff_list = loop_cycles(&strategies::mac_list())?;
     rows.push(Row {
         kernel,
         variant: "List Scheduled",
         cycles: simd_cycles(64 * per_coeff_list + BLOCK_OVERHEAD, blocks, clusters),
     });
 
-    let per_coeff_swp = run(machine, mac, &strategies::mac_pipelined())
-        .loop_cycles()
-        .expect("first-loop modulo recipe");
+    let per_coeff_swp = loop_cycles(&strategies::mac_pipelined())?;
     rows.push(Row {
         kernel,
         variant: "SW pipelined & predicated",
@@ -757,9 +854,7 @@ pub fn dct_direct_rows(machine: &MachineConfig) -> Vec<Row> {
 
     // Arithmetic optimization: drop the double-precision retention ops
     // (acc_hi path), keeping 16-bit accumulation.
-    let per_coeff_opt = run(machine, mac, &strategies::mac_narrowed_pipelined())
-        .loop_cycles()
-        .expect("first-loop modulo recipe");
+    let per_coeff_opt = loop_cycles(&strategies::mac_narrowed_pipelined())?;
     rows.push(Row {
         kernel,
         variant: "+arithmetic optimization",
@@ -768,9 +863,9 @@ pub fn dct_direct_rows(machine: &MachineConfig) -> Vec<Row> {
 
     // Unroll 2 levels & widen across 4 clusters.
     let group = 4u32.min(machine.clusters);
-    let per_coeff_wide = run(machine, mac, &strategies::mac_widened(group))
-        .length()
-        .expect("whole-body list recipe");
+    let per_coeff_wide = run(kernel, machine, mac, &strategies::mac_widened(group), |s| {
+        s.length()
+    })?;
     rows.push(Row {
         kernel,
         variant: "+unroll 2 levels & widen",
@@ -781,7 +876,7 @@ pub fn dct_direct_rows(machine: &MachineConfig) -> Vec<Row> {
         ),
     });
 
-    rows
+    Ok(rows)
 }
 
 // ---------------------------------------------------------------------
@@ -789,7 +884,11 @@ pub fn dct_direct_rows(machine: &MachineConfig) -> Vec<Row> {
 // ---------------------------------------------------------------------
 
 /// Color converter rows.
-pub fn color_rows(machine: &MachineConfig) -> Vec<Row> {
+///
+/// # Errors
+///
+/// The first compile that fails ([`RowError`]).
+pub fn color_rows(machine: &MachineConfig) -> Result<Vec<Row>, RowError> {
     let quads = CCIR601.pixels() / 4;
     let clusters = u64::from(machine.clusters);
     let kernel = KernelId::Color;
@@ -797,7 +896,7 @@ pub fn color_rows(machine: &MachineConfig) -> Vec<Row> {
     let base = Catalog::Color(strip_quads);
     let mut rows = Vec::new();
 
-    let per_strip_seq = seq_cycles(machine, base, &strategies::sequential());
+    let per_strip_seq = seq_cycles(kernel, machine, base, &strategies::sequential())?;
     rows.push(Row {
         kernel,
         variant: "Sequential",
@@ -807,32 +906,32 @@ pub fn color_rows(machine: &MachineConfig) -> Vec<Row> {
     // "Sequential–unrolled": boundary branches eliminated by unrolling;
     // the quad kernel is already branch-free, so the gain is the loop
     // overhead (matching the paper's modest 20% step).
-    let per_strip_unrolled = seq_cycles(machine, base, &strategies::unrolled_sequential());
+    let per_strip_unrolled = seq_cycles(kernel, machine, base, &strategies::unrolled_sequential())?;
     rows.push(Row {
         kernel,
         variant: "Sequential-unrolled",
         cycles: per_strip_unrolled * quads / u64::from(strip_quads),
     });
 
-    let per_quad_list = run(machine, base, &strategies::loop_list(1))
-        .length()
-        .expect("first-loop list recipe");
+    let per_quad_list = run(kernel, machine, base, &strategies::loop_list(1), |s| {
+        s.length()
+    })?;
     rows.push(Row {
         kernel,
         variant: "List-scheduled",
         cycles: simd_cycles(per_quad_list, quads, clusters),
     });
 
-    let per_quad_swp = run(machine, base, &strategies::loop_pipelined(1))
-        .ii()
-        .expect("first-loop modulo recipe");
+    let per_quad_swp = run(kernel, machine, base, &strategies::loop_pipelined(1), |s| {
+        s.ii()
+    })?;
     rows.push(Row {
         kernel,
         variant: "SW Pipelined & predicated",
         cycles: simd_cycles(per_quad_swp, quads, clusters) + 64,
     });
 
-    rows
+    Ok(rows)
 }
 
 // ---------------------------------------------------------------------
@@ -843,7 +942,11 @@ pub fn color_rows(machine: &MachineConfig) -> Vec<Row> {
 /// blocks, so replication is impossible; wider machines only help
 /// through instruction-level parallelism ("the entire 33-issue machine
 /// was available to the list scheduler").
-pub fn vbr_rows(machine: &MachineConfig) -> Vec<Row> {
+///
+/// # Errors
+///
+/// The first compile that fails ([`RowError`]).
+pub fn vbr_rows(machine: &MachineConfig) -> Result<Vec<Row>, RowError> {
     let blocks = CCIR601.blocks8();
     let kernel = KernelId::Vbr;
     let mut rows = Vec::new();
@@ -854,7 +957,7 @@ pub fn vbr_rows(machine: &MachineConfig) -> Vec<Row> {
 
     // Sequential with branches: zero path is short, nonzero path long.
     let base = Catalog::Vbr;
-    let seq = seq_cycles(machine, base, &strategies::sequential()) as f64;
+    let seq = seq_cycles(kernel, machine, base, &strategies::sequential())? as f64;
     // seq_cycles averages the two arms; re-weight by the zero fraction.
     let seq_weighted = seq * (zero_fraction * 0.55 + (1.0 - zero_fraction) * 1.45);
     rows.push(Row {
@@ -883,9 +986,13 @@ pub fn vbr_rows(machine: &MachineConfig) -> Vec<Row> {
     } else {
         2
     };
-    let per_coeff_list = run(machine, base, &strategies::predicated_list(wide_clusters))
-        .length()
-        .expect("first-loop list recipe");
+    let per_coeff_list = run(
+        kernel,
+        machine,
+        base,
+        &strategies::predicated_list(wide_clusters),
+        |s| s.length(),
+    )?;
     rows.push(Row {
         kernel,
         variant: "List-scheduled",
@@ -901,12 +1008,12 @@ pub fn vbr_rows(machine: &MachineConfig) -> Vec<Row> {
     // Software pipelining gains almost nothing: the bits/run recurrence
     // is the critical cycle.
     let per_coeff_swp = run(
+        kernel,
         machine,
         base,
         &strategies::predicated_pipelined(wide_clusters),
-    )
-    .ii()
-    .expect("first-loop modulo recipe");
+        |s| s.ii(),
+    )?;
     rows.push(Row {
         kernel,
         variant: "SW pipelined + comp. pred.",
@@ -918,7 +1025,7 @@ pub fn vbr_rows(machine: &MachineConfig) -> Vec<Row> {
         cycles: (per_coeff_swp * 64 * blocks * 7 / 10).max(1) * 97 / 100,
     });
 
-    rows
+    Ok(rows)
 }
 
 // ---------------------------------------------------------------------
@@ -926,43 +1033,58 @@ pub fn vbr_rows(machine: &MachineConfig) -> Vec<Row> {
 // ---------------------------------------------------------------------
 
 /// All Table 1 rows for one machine, in the paper's order.
-pub fn table1_rows(machine: &MachineConfig) -> Vec<Row> {
+///
+/// # Errors
+///
+/// The first compile that fails ([`RowError`]).
+pub fn table1_rows(machine: &MachineConfig) -> Result<Vec<Row>, RowError> {
     let mut rows = Vec::new();
-    rows.extend(full_search_rows(machine));
-    rows.extend(three_step_rows(machine));
-    rows.extend(dct_direct_rows(machine));
-    rows.extend(dct_rowcol_rows(machine));
-    rows.extend(color_rows(machine));
-    rows.extend(vbr_rows(machine));
-    rows
+    rows.extend(full_search_rows(machine)?);
+    rows.extend(three_step_rows(machine)?);
+    rows.extend(dct_direct_rows(machine)?);
+    rows.extend(dct_rowcol_rows(machine)?);
+    rows.extend(color_rows(machine)?);
+    rows.extend(vbr_rows(machine)?);
+    Ok(rows)
 }
 
 /// Table 2 rows (DCT kernels only) for one machine.
-pub fn table2_rows(machine: &MachineConfig) -> Vec<Row> {
+///
+/// # Errors
+///
+/// The first compile that fails ([`RowError`]).
+pub fn table2_rows(machine: &MachineConfig) -> Result<Vec<Row>, RowError> {
     let mut rows = Vec::new();
-    rows.extend(dct_direct_rows(machine));
-    rows.extend(dct_rowcol_rows(machine));
-    rows
+    rows.extend(dct_direct_rows(machine)?);
+    rows.extend(dct_rowcol_rows(machine)?);
+    Ok(rows)
 }
 
 /// Assembles a full table: `rows_fn` per machine column. An empty
 /// `machines` slice yields an empty table (there is no column to take
 /// row labels from).
+///
+/// # Errors
+///
+/// The first machine's [`RowError`].
 pub fn assemble_table(
     machines: &[MachineConfig],
-    rows_fn: impl Fn(&MachineConfig) -> Vec<Row>,
-) -> Vec<TableRow> {
-    let columns: Vec<Vec<Row>> = machines.iter().map(&rows_fn).collect();
+    rows_fn: impl Fn(&MachineConfig) -> Result<Vec<Row>, RowError>,
+) -> Result<Vec<TableRow>, RowError> {
+    let columns = machines
+        .iter()
+        .map(rows_fn)
+        .collect::<Result<Vec<_>, _>>()?;
     let Some(first) = columns.first() else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
-    (0..first.len())
+    Ok((0..first.len())
         .map(|i| TableRow {
             kernel: first[i].kernel,
             variant: first[i].variant,
             cycles: columns.iter().map(|c| c[i].cycles).collect(),
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -978,16 +1100,23 @@ mod tests {
     }
 
     #[test]
+    fn simd_distributes_jobs() {
+        assert_eq!(simd_cycles(100, 8, 8), 100);
+        assert_eq!(simd_cycles(100, 9, 8), 200);
+        assert_eq!(simd_cycles(100, 1350, 8), 169 * 100);
+    }
+
+    #[test]
     fn assemble_table_empty_machines_is_empty() {
-        assert!(assemble_table(&[], table1_rows).is_empty());
-        assert!(assemble_table(&[], table2_rows).is_empty());
+        assert!(assemble_table(&[], table1_rows).unwrap().is_empty());
+        assert!(assemble_table(&[], table2_rows).unwrap().is_empty());
     }
 
     #[test]
     fn full_search_sequential_near_paper() {
         // Paper: 815.7M on every model.
         for m in table1_models() {
-            let rows = full_search_rows(&m);
+            let rows = full_search_rows(&m).unwrap();
             let seq = find(&rows, "Sequential-predicated");
             let err = (seq as f64 - 815.7e6).abs() / 815.7e6;
             assert!(err < 0.20, "{}: {seq} ({err:.2})", m.name);
@@ -1000,7 +1129,7 @@ mod tests {
         // essentially the same code" — the unrolled baseline, "a fairer
         // starting point for comparing sequential and parallel code".
         for m in table1_models() {
-            let rows = full_search_rows(&m);
+            let rows = full_search_rows(&m).unwrap();
             let seq = find(&rows, "Unrolled Inner Loop") as f64;
             let swp = find(&rows, "SW pipelined & unrolled") as f64;
             let speedup = seq / swp;
@@ -1015,9 +1144,18 @@ mod tests {
     #[test]
     fn full_search_i2c16_beats_i4c8_when_load_limited() {
         // Paper: 25.70M (I4C8S4) vs 20.91M (I2C16S4) vs 16.42M (I2C16S5).
-        let a = find(&full_search_rows(&i4c8s4()), "SW pipelined & unrolled");
-        let b = find(&full_search_rows(&i2c16s4()), "SW pipelined & unrolled");
-        let c = find(&full_search_rows(&i2c16s5()), "SW pipelined & unrolled");
+        let a = find(
+            &full_search_rows(&i4c8s4()).unwrap(),
+            "SW pipelined & unrolled",
+        );
+        let b = find(
+            &full_search_rows(&i2c16s4()).unwrap(),
+            "SW pipelined & unrolled",
+        );
+        let c = find(
+            &full_search_rows(&i2c16s5()).unwrap(),
+            "SW pipelined & unrolled",
+        );
         assert!(b < a, "quadrupled load bandwidth wins: {b} vs {a}");
         assert!(c < b, "complex addressing wins again: {c} vs {b}");
     }
@@ -1027,7 +1165,7 @@ mod tests {
         // Paper: blocking gives 9.44M on *every* model.
         let vals: Vec<u64> = table1_models()
             .iter()
-            .map(|m| find(&full_search_rows(m), "Blocking/Loop Exchange"))
+            .map(|m| find(&full_search_rows(m).unwrap(), "Blocking/Loop Exchange"))
             .collect();
         let max = *vals.iter().max().unwrap() as f64;
         let min = *vals.iter().min().unwrap() as f64;
@@ -1045,7 +1183,7 @@ mod tests {
     #[test]
     fn absdiff_helps_blocked_code() {
         // Paper: 9.44M -> 6.85M with the special operator.
-        let rows = full_search_rows(&i4c8s4());
+        let rows = full_search_rows(&i4c8s4()).unwrap();
         let plain = find(&rows, "Blocking/Loop Exchange");
         let ad = find(&rows, "Add spec. op (> cycle & area) [blocked]");
         let gain = plain as f64 / ad as f64;
@@ -1055,13 +1193,16 @@ mod tests {
     #[test]
     fn addressing_modes_help_unrolled_sequential() {
         // Paper: 633.2M (simple) vs 467.3M (complex).
-        let simple = find(&full_search_rows(&i4c8s4()), "Unrolled Inner Loop");
-        let complex = find(&full_search_rows(&i4c8s4c()), "Unrolled Inner Loop");
+        let simple = find(&full_search_rows(&i4c8s4()).unwrap(), "Unrolled Inner Loop");
+        let complex = find(
+            &full_search_rows(&i4c8s4c()).unwrap(),
+            "Unrolled Inner Loop",
+        );
         let ratio = simple as f64 / complex as f64;
         assert!((1.2..1.6).contains(&ratio), "ratio {ratio:.2}");
         assert_eq!(
             complex,
-            find(&full_search_rows(&i4c8s5()), "Unrolled Inner Loop")
+            find(&full_search_rows(&i4c8s5()).unwrap(), "Unrolled Inner Loop")
         );
     }
 
@@ -1069,7 +1210,7 @@ mod tests {
     fn three_step_tracks_full_search_shape() {
         // Paper: sequential 86.12M; ~10x less work than full search but
         // relatively more outer overhead.
-        let rows = three_step_rows(&i4c8s4());
+        let rows = three_step_rows(&i4c8s4()).unwrap();
         let seq = find(&rows, "Sequential-predicated");
         let err = (seq as f64 - 86.12e6).abs() / 86.12e6;
         assert!(err < 0.25, "{seq}");
@@ -1082,8 +1223,8 @@ mod tests {
     fn dct_rowcol_much_faster_than_direct() {
         // Paper: ~5x (703.1M vs 135.0M sequential; 18.55M vs 4.92M listed).
         let m = i4c8s4();
-        let direct = find(&dct_direct_rows(&m), "Sequential-unoptimized");
-        let rowcol = find(&dct_rowcol_rows(&m), "Sequential-unoptimized");
+        let direct = find(&dct_direct_rows(&m).unwrap(), "Sequential-unoptimized");
+        let rowcol = find(&dct_rowcol_rows(&m).unwrap(), "Sequential-unoptimized");
         let ratio = direct as f64 / rowcol as f64;
         assert!((3.0..9.0).contains(&ratio), "ratio {ratio:.1}");
     }
@@ -1092,7 +1233,7 @@ mod tests {
     fn dct_list_scheduling_extracts_parallelism() {
         // Paper: 18.0x–36.9x from list scheduling.
         let m = i4c8s4();
-        let rows = dct_rowcol_rows(&m);
+        let rows = dct_rowcol_rows(&m).unwrap();
         let seq = find(&rows, "Sequential-unoptimized") as f64;
         let listed = find(&rows, "List Scheduled") as f64;
         assert!((10.0..60.0).contains(&(seq / listed)), "{}", seq / listed);
@@ -1101,15 +1242,21 @@ mod tests {
     #[test]
     fn dct_sixteen_multipliers_win() {
         // Paper: I2C16 models outrun I4C8 on the multiply-bound DCT.
-        let wide = find(&dct_rowcol_rows(&i4c8s4()), "SW pipelined & predicated");
-        let narrow = find(&dct_rowcol_rows(&i2c16s4()), "SW pipelined & predicated");
+        let wide = find(
+            &dct_rowcol_rows(&i4c8s4()).unwrap(),
+            "SW pipelined & predicated",
+        );
+        let narrow = find(
+            &dct_rowcol_rows(&i2c16s4()).unwrap(),
+            "SW pipelined & predicated",
+        );
         assert!(narrow < wide, "{narrow} vs {wide}");
     }
 
     #[test]
     fn color_rows_parallelize() {
         let m = i4c8s4();
-        let rows = color_rows(&m);
+        let rows = color_rows(&m).unwrap();
         let seq = find(&rows, "Sequential") as f64;
         let swp = find(&rows, "SW Pipelined & predicated") as f64;
         assert!(seq / swp > 10.0, "{}", seq / swp);
@@ -1121,7 +1268,7 @@ mod tests {
     fn vbr_has_little_parallelism() {
         // Paper: best improvement only ~2.5x over predicated sequential.
         let m = i4c8s4();
-        let rows = vbr_rows(&m);
+        let rows = vbr_rows(&m).unwrap();
         let seq = find(&rows, "Sequential-predicated") as f64;
         let best = rows.iter().map(|r| r.cycles).min().unwrap() as f64;
         let speedup = seq / best;
@@ -1135,8 +1282,8 @@ mod tests {
     fn vbr_extra_clusters_do_not_help() {
         // Paper: "the additional resources in the I2C16S4 ... were not of
         // any benefit" — cycle counts are no better on 16 clusters.
-        let wide = vbr_rows(&i4c8s4());
-        let narrow = vbr_rows(&i2c16s4());
+        let wide = vbr_rows(&i4c8s4()).unwrap();
+        let narrow = vbr_rows(&i2c16s4()).unwrap();
         let w = find(&wide, "List-scheduled-predicated");
         let n = find(&narrow, "List-scheduled-predicated");
         assert!(n as f64 >= w as f64 * 0.9, "{n} vs {w}");
@@ -1145,7 +1292,7 @@ mod tests {
     #[test]
     fn table_assembly_is_rectangular() {
         let machines = table1_models();
-        let table = assemble_table(&machines, table1_rows);
+        let table = assemble_table(&machines, table1_rows).unwrap();
         assert!(!table.is_empty());
         for row in &table {
             assert_eq!(row.cycles.len(), machines.len());

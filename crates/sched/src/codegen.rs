@@ -13,7 +13,7 @@
 //! into its free slots, trading a few cycles of schedule quality for
 //! simple, verifiable code generation; the Table 1 cycle models fold the
 //! control operations into the scheduled body instead (see
-//! [`crate::cost`]).
+//! [`crate::pipeline::LoopControlMode::Folded`]).
 
 use crate::list::ListSchedule;
 use crate::regalloc::{allocate, Allocation, NotEnoughRegisters};

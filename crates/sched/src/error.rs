@@ -12,11 +12,8 @@
 //! internal invariant" (a bug, fail loudly) — without panicking either
 //! way.
 //!
-//! The `try_`-prefixed scheduler entry points
-//! ([`try_list_schedule`](crate::list::try_list_schedule),
-//! [`try_modulo_schedule`](crate::modulo::try_modulo_schedule)) return
-//! this type directly; the `From` impls let `?` lift every stage error
-//! into it.
+//! The compile stages ([`crate::pipeline`]) return this type directly,
+//! and the `From` impls let `?` lift every stage error into it.
 
 use crate::codegen::CodegenError;
 use crate::lower::LowerError;

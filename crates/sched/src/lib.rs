@@ -22,16 +22,13 @@
 //! * [`codegen`] — VLIW code generation for list-scheduled loops,
 //!   including SIMD-style replication across clusters, producing
 //!   programs the cycle-accurate simulator executes;
-//! * [`cost`] — frame-level cycle composition (iterations × II +
-//!   prologue/epilogue + outer-loop overhead);
 //! * [`analytic`] — the closed-form II predictor the paper names as
 //!   future work, validated against the scheduler;
-//! * [`error`] — the unified [`SchedError`] for pipeline drivers, with
-//!   panic-free `try_`-prefixed scheduler entry points;
-//! * [`pipeline`] — the unified compilation pipeline: a typed [`Pass`]
-//!   over a [`CompilationUnit`], declarative [`Strategy`]
-//!   recipes, and the [`compile`] entry point every driver uses, run
-//!   as two stages: machine-independent IR passes ([`transform`]), then
+//! * [`error`] — the unified [`SchedError`] for pipeline drivers;
+//! * [`pipeline`] — the unified compilation pipeline: declarative
+//!   [`Strategy`] recipes over a [`CompilationUnit`], and the
+//!   [`compile`] entry point every driver uses, run as two straight
+//!   stages: machine-independent IR passes ([`transform`]), then
 //!   lowering and scheduling on a machine ([`lower_and_schedule`]);
 //! * [`select`] — strategy admissibility for machines outside the
 //!   hand-tuned seven (design-space search);
@@ -43,7 +40,6 @@
 
 pub mod analytic;
 pub mod codegen;
-pub mod cost;
 pub mod error;
 pub mod list;
 pub mod lower;
@@ -57,15 +53,14 @@ pub mod vop;
 
 pub use analytic::{predict_ii, predict_loop_cycles, IiPrediction};
 pub use codegen::{codegen_loop, LoopControl};
-pub use cost::LoopCost;
 pub use error::SchedError;
-pub use list::{list_schedule, list_schedule_traced, try_list_schedule, ListSchedule};
+pub use list::{list_schedule, list_schedule_traced, ListSchedule};
 pub use lower::{lower_body, ArrayLayout, LowerError};
 pub use mii::{min_ii_from, rec_mii, res_mii};
-pub use modulo::{modulo_schedule, modulo_schedule_traced, try_modulo_schedule, ModuloSchedule};
+pub use modulo::{modulo_schedule, modulo_schedule_traced, ModuloSchedule};
 pub use pipeline::{
     compile, compile_with, lower_and_schedule, transform, CompilationUnit, CompileOptions,
-    CompileResult, LoopControlMode, Pass, PassConfig, Pipeline, PipelineReport, PipelineValidator,
+    CompileResult, LoopControlMode, PassConfig, PipelineReport, PipelineValidator,
     ScheduleArtifact, ScheduleScope, ScheduleSummary, SchedulerChoice, Strategy,
 };
 pub use select::{admissible, clusters_claimed};

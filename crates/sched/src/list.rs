@@ -46,8 +46,9 @@ pub struct ListSchedule {
 }
 
 impl ListSchedule {
-    /// Cycles for `trips` sequential executions of the block (loop
-    /// control excluded; see [`crate::cost`]).
+    /// Cycles for `trips` sequential executions of the block (no extra
+    /// loop-control cycles: Table 1 lowering folds them into the block,
+    /// see [`crate::pipeline::LoopControlMode::Folded`]).
     pub fn cycles_for(&self, trips: u64) -> u64 {
         Self::block_cycles(self.length, trips)
     }
@@ -91,33 +92,6 @@ pub fn list_schedule(
     clusters_used: u32,
 ) -> Option<ListSchedule> {
     list_schedule_traced(machine, body, deps, clusters_used, &mut NullSink)
-}
-
-/// [`list_schedule`] with a typed error: infeasibility comes back as
-/// [`SchedError::Unschedulable`](crate::error::SchedError::Unschedulable)
-/// instead of `None`, so pipeline drivers can fold it into one `Result`
-/// chain with lowering, allocation and code generation.
-///
-/// # Errors
-///
-/// `Unschedulable` when an operation cannot be issued anywhere on the
-/// machine (missing functional unit).
-pub fn try_list_schedule(
-    machine: &MachineConfig,
-    body: &LoweredBody,
-    deps: &VopDeps,
-    clusters_used: u32,
-) -> Result<ListSchedule, crate::error::SchedError> {
-    list_schedule(machine, body, deps, clusters_used).ok_or_else(|| {
-        crate::error::SchedError::Unschedulable {
-            scheduler: "list",
-            detail: format!(
-                "{} ops on {} across {clusters_used} cluster(s): some operation has no capable slot",
-                body.ops.len(),
-                machine.name
-            ),
-        }
-    })
 }
 
 /// [`list_schedule`] with a decision log: every placement reports the

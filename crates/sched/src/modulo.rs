@@ -87,34 +87,6 @@ pub fn modulo_schedule(
     modulo_schedule_traced(machine, body, deps, clusters_used, ii_search, &mut NullSink)
 }
 
-/// [`modulo_schedule`] with a typed error: infeasibility comes back as
-/// [`SchedError::Unschedulable`](crate::error::SchedError::Unschedulable)
-/// instead of `None`, so pipeline drivers can fold it into one `Result`
-/// chain with lowering, allocation and code generation.
-///
-/// # Errors
-///
-/// `Unschedulable` when the body needs a functional unit the machine
-/// lacks, or no feasible II is found within `ii_search` steps above MII.
-pub fn try_modulo_schedule(
-    machine: &MachineConfig,
-    body: &LoweredBody,
-    deps: &VopDeps,
-    clusters_used: u32,
-    ii_search: u32,
-) -> Result<ModuloSchedule, crate::error::SchedError> {
-    modulo_schedule(machine, body, deps, clusters_used, ii_search).ok_or_else(|| {
-        crate::error::SchedError::Unschedulable {
-            scheduler: "modulo",
-            detail: format!(
-                "{} ops on {} across {clusters_used} cluster(s): no feasible II within {ii_search} steps above MII",
-                body.ops.len(),
-                machine.name
-            ),
-        }
-    })
-}
-
 /// [`modulo_schedule`] with a decision log: each candidate II/ordering
 /// pair is announced ([`TraceEvent::IiAttempt`]), failures to find any
 /// schedule at an II become [`TraceEvent::IiEscalate`], and within one

@@ -1,34 +1,28 @@
-//! The unified compilation pipeline: composable passes over a
-//! [`CompilationUnit`], driven by declarative [`Strategy`] recipes.
+//! The unified compilation pipeline: declarative [`Strategy`] recipes
+//! run as straight code over a [`CompilationUnit`].
 //!
 //! Every Table 1/Table 2 row of the paper is a *progression of compiler
 //! techniques* applied to a kernel on a machine: unroll, predicate,
 //! clean up, lower, then list- or modulo-schedule. Historically those
 //! progressions were hand-wired per row; here they are data. A
 //! [`Strategy`] names an ordered recipe of [`PassConfig`]s plus a
-//! [`SchedulerChoice`], [`compile`] runs it through the one
-//! [`Pipeline`], and the result carries the schedule artifact plus a
-//! per-pass [`PipelineReport`].
-//!
-//! The pieces compose:
-//!
-//! * [`Pass`] — one typed transform over the unit (IR rewrite, lowering,
-//!   or scheduling), reporting its effect;
-//! * [`Pipeline`] — runs passes in order, records per-pass stats, emits
-//!   a [`TraceEvent::PassComplete`] decision event per pass, and
-//!   consults an optional [`PipelineValidator`] after each one;
-//! * [`Strategy`] — the recipe as plain data, so bench sweeps,
-//!   fuzzers and CI can compose techniques the paper never hand-
-//!   scheduled;
-//! * [`compile`] / [`compile_with`] — the one entry point every driver
-//!   (`tables`, `trace`, `fuzz`, `faults`, `explore-strategies`) uses.
+//! [`SchedulerChoice`], [`compile`] runs it, and the result carries the
+//! schedule artifact plus a per-pass [`PipelineReport`].
 //!
 //! A compile runs in two stages. [`transform`] applies the recipe's IR
-//! passes to the kernel and reads no machine; [`lower_and_schedule`]
-//! lowers the transformed kernel and schedules it on one. [`compile_with`]
-//! is the two run back to back, and a driver that compiles one kernel
-//! for many machines (`vsp_kernels::variants`) runs the first stage once
-//! per (kernel, passes) and the second once per machine shape.
+//! passes to the kernel, one `match` arm per [`PassConfig`], and reads no
+//! machine; [`lower_and_schedule`] lowers the transformed kernel (list
+//! and modulo backends) and schedules it on one. [`compile_with`] is the
+//! two run back to back, and a driver that compiles one kernel for many
+//! machines (`vsp_kernels::variants`) runs the first stage once per
+//! (kernel, passes) and the second once per machine shape.
+//!
+//! After every pass, in either stage, one shared step records a
+//! [`PassRecord`], emits a [`TraceEvent::PassComplete`] decision event,
+//! feeds the options' metrics recorder and consults the optional
+//! [`PipelineValidator`]. [`compile`] and [`compile_with`] are the one
+//! entry point every driver (`tables`, `trace`, `fuzz`, `faults`,
+//! `explore-strategies`) uses.
 //!
 //! The sequential cost walk and the lowering recipe reproduce the
 //! pre-pipeline `vsp-kernels` row machinery exactly, so the emitted
@@ -190,9 +184,9 @@ impl Strategy {
 // CompilationUnit: the thing passes transform
 // ---------------------------------------------------------------------
 
-/// The state a [`Pipeline`] threads through its passes: the kernel IR
-/// being transformed, the target machine, and the artifacts accumulated
-/// by lowering and scheduling.
+/// The state the compile stages thread through their passes: the
+/// kernel IR being transformed, the target machine, and the artifacts
+/// accumulated by lowering and scheduling.
 #[derive(Debug, Clone)]
 pub struct CompilationUnit {
     /// The kernel, rewritten by IR passes (each copies it on write, so a
@@ -266,28 +260,8 @@ pub enum ScheduleArtifact {
 }
 
 // ---------------------------------------------------------------------
-// Pass + validation hooks
+// Validation hook and the passes
 // ---------------------------------------------------------------------
-
-/// One typed transform over a [`CompilationUnit`].
-///
-/// Implementations must be deterministic; the [`Pipeline`] records each
-/// pass's post-state size and reports it as a
-/// [`TraceEvent::PassComplete`] decision event.
-pub trait Pass {
-    /// Stable name (matches [`PipelinePass::name`] for built-in passes).
-    fn name(&self) -> &'static str;
-    /// The trace-vocabulary kind of this pass.
-    fn kind(&self) -> PipelinePass;
-    /// Applies the pass.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SchedError`]; built-in passes use
-    /// [`SchedError::Pipeline`] for pass-configuration failures and
-    /// lift lowering/scheduling errors directly.
-    fn run(&self, unit: &mut CompilationUnit, sink: &mut dyn TraceSink) -> Result<(), SchedError>;
-}
 
 /// Post-pass validation hook.
 ///
@@ -301,284 +275,167 @@ pub trait PipelineValidator {
     fn validate(&self, unit: &CompilationUnit, pass: &str) -> Vec<String>;
 }
 
-// ---------------------------------------------------------------------
-// Built-in passes
-// ---------------------------------------------------------------------
-
-struct UnrollPass {
-    factor: Option<u32>,
-}
-
-impl Pass for UnrollPass {
-    fn name(&self) -> &'static str {
-        match self.factor {
-            Some(_) => "unroll",
-            None => "full_unroll",
-        }
-    }
+impl PassConfig {
+    /// The trace-vocabulary kind of the pass; its
+    /// [`PipelinePass::name`] labels the pass's records, events and
+    /// metrics.
     fn kind(&self) -> PipelinePass {
-        match self.factor {
-            Some(_) => PipelinePass::Unroll,
-            None => PipelinePass::FullUnroll,
+        match self {
+            PassConfig::Unroll { factor: Some(_) } => PipelinePass::Unroll,
+            PassConfig::Unroll { factor: None } => PipelinePass::FullUnroll,
+            PassConfig::IfConvert => PipelinePass::IfConvert,
+            PassConfig::Cse => PipelinePass::Cse,
+            PassConfig::Licm => PipelinePass::Licm,
+            PassConfig::StrengthReduce => PipelinePass::StrengthReduce,
+            PassConfig::StripVars { .. } => PipelinePass::StripVars,
         }
     }
-    fn run(&self, unit: &mut CompilationUnit, _sink: &mut dyn TraceSink) -> Result<(), SchedError> {
-        match self.factor {
-            Some(f) => {
-                try_unroll_innermost(Arc::make_mut(&mut unit.kernel), f).map_err(|e| {
-                    SchedError::Pipeline {
-                        pass: "unroll",
-                        detail: e.to_string(),
-                    }
+
+    /// Applies the pass to `kernel`.
+    fn apply(&self, kernel: &mut Kernel) -> Result<(), SchedError> {
+        match self {
+            PassConfig::Unroll { factor: Some(f) } => {
+                try_unroll_innermost(kernel, *f).map_err(|e| SchedError::Pipeline {
+                    pass: "unroll",
+                    detail: e.to_string(),
                 })?;
             }
-            None => {
-                fully_unroll_innermost(Arc::make_mut(&mut unit.kernel));
+            PassConfig::Unroll { factor: None } => {
+                fully_unroll_innermost(kernel);
             }
-        }
-        Ok(())
-    }
-}
-
-struct IfConvertPass;
-
-impl Pass for IfConvertPass {
-    fn name(&self) -> &'static str {
-        "if_convert"
-    }
-    fn kind(&self) -> PipelinePass {
-        PipelinePass::IfConvert
-    }
-    fn run(&self, unit: &mut CompilationUnit, _sink: &mut dyn TraceSink) -> Result<(), SchedError> {
-        if_convert(Arc::make_mut(&mut unit.kernel));
-        Ok(())
-    }
-}
-
-struct CsePass;
-
-impl Pass for CsePass {
-    fn name(&self) -> &'static str {
-        "cse"
-    }
-    fn kind(&self) -> PipelinePass {
-        PipelinePass::Cse
-    }
-    fn run(&self, unit: &mut CompilationUnit, _sink: &mut dyn TraceSink) -> Result<(), SchedError> {
-        eliminate_common_subexpressions(Arc::make_mut(&mut unit.kernel));
-        Ok(())
-    }
-}
-
-struct LicmPass;
-
-impl Pass for LicmPass {
-    fn name(&self) -> &'static str {
-        "licm"
-    }
-    fn kind(&self) -> PipelinePass {
-        PipelinePass::Licm
-    }
-    fn run(&self, unit: &mut CompilationUnit, _sink: &mut dyn TraceSink) -> Result<(), SchedError> {
-        hoist_invariants(Arc::make_mut(&mut unit.kernel));
-        Ok(())
-    }
-}
-
-struct StrengthReducePass;
-
-impl Pass for StrengthReducePass {
-    fn name(&self) -> &'static str {
-        "strength_reduce"
-    }
-    fn kind(&self) -> PipelinePass {
-        PipelinePass::StrengthReduce
-    }
-    fn run(&self, unit: &mut CompilationUnit, _sink: &mut dyn TraceSink) -> Result<(), SchedError> {
-        reduce_strength(Arc::make_mut(&mut unit.kernel));
-        Ok(())
-    }
-}
-
-struct StripVarsPass {
-    vars: Vec<String>,
-}
-
-impl Pass for StripVarsPass {
-    fn name(&self) -> &'static str {
-        "strip_vars"
-    }
-    fn kind(&self) -> PipelinePass {
-        PipelinePass::StripVars
-    }
-    fn run(&self, unit: &mut CompilationUnit, _sink: &mut dyn TraceSink) -> Result<(), SchedError> {
-        let kernel = Arc::make_mut(&mut unit.kernel);
-        let hit: Vec<vsp_ir::VarId> = kernel
-            .var_names
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| self.vars.iter().any(|v| v == *n))
-            .map(|(i, _)| vsp_ir::VarId(i as u32))
-            .collect();
-        fn strip(stmts: &mut Vec<Stmt>, hit: &[vsp_ir::VarId]) {
-            stmts.retain_mut(|s| match s {
-                Stmt::Assign { dst, .. } => !hit.contains(dst),
-                Stmt::Loop(l) => {
-                    strip(&mut l.body, hit);
-                    true
-                }
-                Stmt::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    strip(then_body, hit);
-                    strip(else_body, hit);
-                    true
-                }
-                _ => true,
-            });
-        }
-        strip(&mut kernel.body, &hit);
-        Ok(())
-    }
-}
-
-struct LowerPass {
-    scope: ScheduleScope,
-    loop_control: LoopControlMode,
-}
-
-impl Pass for LowerPass {
-    fn name(&self) -> &'static str {
-        "lower"
-    }
-    fn kind(&self) -> PipelinePass {
-        PipelinePass::Lower
-    }
-    fn run(&self, unit: &mut CompilationUnit, _sink: &mut dyn TraceSink) -> Result<(), SchedError> {
-        let machine = target(unit, "lower")?;
-        let (body, trip): (&[Stmt], Option<u64>) = match self.scope {
-            ScheduleScope::WholeBody => (&unit.kernel.body, None),
-            ScheduleScope::FirstLoop => {
-                let l = unit
-                    .kernel
-                    .body
-                    .iter()
-                    .find_map(|s| match s {
-                        Stmt::Loop(l) => Some(l),
-                        _ => None,
-                    })
-                    .ok_or_else(|| SchedError::Pipeline {
-                        pass: "lower",
-                        detail: "FirstLoop scope but the kernel has no top-level loop".into(),
-                    })?;
-                (&l.body, Some(u64::from(l.trip)))
+            PassConfig::IfConvert => {
+                if_convert(kernel);
             }
-        };
-        let layout = ArrayLayout::contiguous(&unit.kernel, machine)?;
-        let mut lowered = lower_body(machine, &unit.kernel, body, &layout)?;
-        if self.loop_control == LoopControlMode::Folded {
-            append_loop_control(&mut lowered);
+            PassConfig::Cse => {
+                eliminate_common_subexpressions(kernel);
+            }
+            PassConfig::Licm => {
+                hoist_invariants(kernel);
+            }
+            PassConfig::StrengthReduce => {
+                reduce_strength(kernel);
+            }
+            PassConfig::StripVars { vars } => strip_vars(kernel, vars),
         }
-        let deps = VopDeps::build(machine, &lowered);
-        unit.scheduled_trip = trip;
-        unit.lowered = Some(lowered);
-        unit.deps = Some(deps);
         Ok(())
     }
 }
 
-struct SchedulePass {
+/// Removes every assignment to one of the named variables.
+fn strip_vars(kernel: &mut Kernel, vars: &[String]) {
+    let hit: Vec<vsp_ir::VarId> = kernel
+        .var_names
+        .iter()
+        .enumerate()
+        .filter(|(_, n)| vars.iter().any(|v| v == *n))
+        .map(|(i, _)| vsp_ir::VarId(i as u32))
+        .collect();
+    fn strip(stmts: &mut Vec<Stmt>, hit: &[vsp_ir::VarId]) {
+        stmts.retain_mut(|s| match s {
+            Stmt::Assign { dst, .. } => !hit.contains(dst),
+            Stmt::Loop(l) => {
+                strip(&mut l.body, hit);
+                true
+            }
+            Stmt::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                strip(then_body, hit);
+                strip(else_body, hit);
+                true
+            }
+            _ => true,
+        });
+    }
+    strip(&mut kernel.body, &hit);
+}
+
+/// The lowering pass: lowers the strategy's scope of the unit's kernel
+/// for `machine` and builds the dependence graph over it.
+fn lower(
+    unit: &mut CompilationUnit,
+    machine: &MachineConfig,
+    strategy: &Strategy,
+) -> Result<(), SchedError> {
+    let (body, trip): (&[Stmt], Option<u64>) = match strategy.scope {
+        ScheduleScope::WholeBody => (&unit.kernel.body, None),
+        ScheduleScope::FirstLoop => {
+            let l = unit
+                .kernel
+                .body
+                .iter()
+                .find_map(|s| match s {
+                    Stmt::Loop(l) => Some(l),
+                    _ => None,
+                })
+                .ok_or_else(|| SchedError::Pipeline {
+                    pass: "lower",
+                    detail: "FirstLoop scope but the kernel has no top-level loop".into(),
+                })?;
+            (&l.body, Some(u64::from(l.trip)))
+        }
+    };
+    let layout = ArrayLayout::contiguous(&unit.kernel, machine)?;
+    let mut lowered = lower_body(machine, &unit.kernel, body, &layout)?;
+    if strategy.loop_control == LoopControlMode::Folded {
+        append_loop_control(&mut lowered);
+    }
+    unit.deps = Some(VopDeps::build(machine, &lowered));
+    unit.lowered = Some(lowered);
+    unit.scheduled_trip = trip;
+    Ok(())
+}
+
+/// The scheduling pass: the strategy's backend over the unit, lowered
+/// by [`lower`] unless the backend is sequential.
+fn schedule(
+    unit: &CompilationUnit,
+    machine: &MachineConfig,
     choice: SchedulerChoice,
-}
-
-impl Pass for SchedulePass {
-    fn name(&self) -> &'static str {
-        "schedule"
-    }
-    fn kind(&self) -> PipelinePass {
-        PipelinePass::Schedule
-    }
-    fn run(&self, unit: &mut CompilationUnit, sink: &mut dyn TraceSink) -> Result<(), SchedError> {
-        let machine = target(unit, "schedule")?;
-        let schedule = match self.choice {
-            SchedulerChoice::Sequential => ScheduleArtifact::Sequential {
-                cycles: sequential_kernel_cycles(machine, &unit.kernel)?,
-            },
-            SchedulerChoice::List { clusters_used } => {
-                let (body, deps) = lowered_pair(unit)?;
-                let s = list_schedule_traced(machine, body, deps, clusters_used, sink).ok_or_else(
-                    || SchedError::Unschedulable {
-                        scheduler: "list",
-                        detail: format!(
-                            "{} ops on {} across {clusters_used} cluster(s): \
-                             some operation has no capable slot",
-                            body.ops.len(),
-                            machine.name
-                        ),
-                    },
-                )?;
-                ScheduleArtifact::List(s)
-            }
+    sink: &mut dyn TraceSink,
+) -> Result<ScheduleArtifact, SchedError> {
+    let lowered = unit.lowered.as_ref().zip(unit.deps.as_ref());
+    Ok(match (choice, lowered) {
+        (SchedulerChoice::Sequential, _) => ScheduleArtifact::Sequential {
+            cycles: sequential_kernel_cycles(machine, &unit.kernel)?,
+        },
+        (SchedulerChoice::List { clusters_used }, Some((body, deps))) => {
+            let s = list_schedule_traced(machine, body, deps, clusters_used, sink).ok_or_else(
+                || SchedError::Unschedulable {
+                    scheduler: "list",
+                    detail: format!(
+                        "{} ops on {} across {clusters_used} cluster(s): \
+                         some operation has no capable slot",
+                        body.ops.len(),
+                        machine.name
+                    ),
+                },
+            )?;
+            ScheduleArtifact::List(s)
+        }
+        (
             SchedulerChoice::Modulo {
                 clusters_used,
                 ii_search,
-            } => {
-                let (body, deps) = lowered_pair(unit)?;
-                let s = modulo_schedule_traced(machine, body, deps, clusters_used, ii_search, sink)
-                    .ok_or_else(|| SchedError::Unschedulable {
-                        scheduler: "modulo",
-                        detail: format!(
-                            "{} ops on {} across {clusters_used} cluster(s): \
+            },
+            Some((body, deps)),
+        ) => {
+            let s = modulo_schedule_traced(machine, body, deps, clusters_used, ii_search, sink)
+                .ok_or_else(|| SchedError::Unschedulable {
+                    scheduler: "modulo",
+                    detail: format!(
+                        "{} ops on {} across {clusters_used} cluster(s): \
                          no feasible II within {ii_search} steps above MII",
-                            body.ops.len(),
-                            machine.name
-                        ),
-                    })?;
-                ScheduleArtifact::Modulo(s)
-            }
-        };
-        unit.schedule = Some(schedule);
-        Ok(())
-    }
-}
-
-/// The unit's target machine, or a pipeline-ordering error: only
-/// [`lower_and_schedule`] sets one.
-fn target<'u>(
-    unit: &'u CompilationUnit,
-    pass: &'static str,
-) -> Result<&'u MachineConfig, SchedError> {
-    unit.machine.as_ref().ok_or_else(|| SchedError::Pipeline {
-        pass,
-        detail: "the backend passes run only on a unit with a target machine".into(),
-    })
-}
-
-/// The lowered body + deps, or a pipeline-ordering error.
-fn lowered_pair(unit: &CompilationUnit) -> Result<(&LoweredBody, &VopDeps), SchedError> {
-    match (&unit.lowered, &unit.deps) {
-        (Some(b), Some(d)) => Ok((b, d)),
-        _ => Err(SchedError::Pipeline {
-            pass: "schedule",
-            detail: "scheduling requires the lowering pass to have run".into(),
-        }),
-    }
-}
-
-impl PassConfig {
-    /// Instantiates the configured pass.
-    pub fn instantiate(&self) -> Box<dyn Pass> {
-        match self {
-            PassConfig::Unroll { factor } => Box::new(UnrollPass { factor: *factor }),
-            PassConfig::IfConvert => Box::new(IfConvertPass),
-            PassConfig::Cse => Box::new(CsePass),
-            PassConfig::Licm => Box::new(LicmPass),
-            PassConfig::StrengthReduce => Box::new(StrengthReducePass),
-            PassConfig::StripVars { vars } => Box::new(StripVarsPass { vars: vars.clone() }),
+                        body.ops.len(),
+                        machine.name
+                    ),
+                })?;
+            ScheduleArtifact::Modulo(s)
         }
-    }
+        (_, None) => unreachable!("lower_and_schedule lowers before a list or modulo schedule"),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -588,7 +445,7 @@ impl PassConfig {
 /// Appends the folded loop-control operations (induction increment and
 /// bounds compare) that live inside every scheduled loop body; the
 /// branch itself issues from the decoupled control slot.
-pub fn append_loop_control(body: &mut LoweredBody) {
+fn append_loop_control(body: &mut LoweredBody) {
     let ctr = Reg(body.vregs);
     body.vregs += 1;
     let pred = Pred(body.vpreds);
@@ -624,10 +481,7 @@ pub fn append_loop_control(body: &mut LoweredBody) {
 ///
 /// [`SchedError::Lower`] when a straight-line run cannot be lowered
 /// (kernel working set vs. machine memory).
-pub fn sequential_kernel_cycles(
-    machine: &MachineConfig,
-    kernel: &Kernel,
-) -> Result<u64, SchedError> {
+fn sequential_kernel_cycles(machine: &MachineConfig, kernel: &Kernel) -> Result<u64, SchedError> {
     fn walk(machine: &MachineConfig, kernel: &Kernel, stmts: &[Stmt]) -> Result<u64, SchedError> {
         let mut cycles = 0u64;
         let mut run: Vec<Stmt> = Vec::new();
@@ -675,22 +529,21 @@ pub fn sequential_kernel_cycles(
 
 /// Per-iteration sequential cost of a loop whose body costs `body`
 /// cycles: close (index update + compare) plus unfilled delay slots.
-pub fn sequential_iteration(machine: &MachineConfig, body: u64) -> u64 {
+fn sequential_iteration(machine: &MachineConfig, body: u64) -> u64 {
     let delay = u64::from(machine.pipeline.branch_delay_slots);
     let fillable = body.saturating_sub(2).min(delay);
     body + 2 + (delay - fillable)
 }
 
 // ---------------------------------------------------------------------
-// Pipeline runner + compile()
+// The per-pass step + compile()
 // ---------------------------------------------------------------------
 
-/// Post-pass snapshot recorded by the [`Pipeline`] runner.
+/// Post-pass snapshot recorded after every pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PassRecord {
-    /// Pass name (stable, matches the trace vocabulary).
-    pub pass: String,
-    /// Trace-vocabulary kind of the pass.
+    /// Trace-vocabulary kind of the pass ([`PipelinePass::name`] is its
+    /// stable name).
     pub kind: PipelinePass,
     /// IR statements in the kernel after the pass.
     pub stmts: usize,
@@ -721,124 +574,81 @@ pub struct CompileOptions<'a> {
     pub recorder: Option<&'a mut dyn vsp_metrics::Recorder>,
 }
 
-/// An ordered sequence of passes, ready to run over a unit.
-pub struct Pipeline {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl Pipeline {
-    /// The IR stage of a recipe: its passes, in order.
-    pub fn ir(passes: &[PassConfig]) -> Pipeline {
-        Pipeline {
-            passes: passes.iter().map(PassConfig::instantiate).collect(),
+/// Runs one pass over `unit`, then does what every pass shares, in this
+/// order: emits a [`TraceEvent::PassComplete`] (numbered after the
+/// records already in `report`) into the options sink, records the
+/// pass's time and size deltas with the options recorder, appends a
+/// [`PassRecord`] to `report`, and asks the options validator to check
+/// the unit.
+///
+/// # Errors
+///
+/// The pass's error, or [`SchedError::Pipeline`] when the validator
+/// reports violations.
+fn run_pass(
+    kind: PipelinePass,
+    unit: &mut CompilationUnit,
+    options: &mut CompileOptions<'_>,
+    report: &mut PipelineReport,
+    pass: impl FnOnce(&mut CompilationUnit, &mut dyn TraceSink) -> Result<(), SchedError>,
+) -> Result<(), SchedError> {
+    let seq = report.passes.len() as u32;
+    let before = (unit.stmt_count(), unit.vop_count());
+    let watch = vsp_metrics::Stopwatch::start();
+    let mut null = NullSink;
+    let sink: &mut dyn TraceSink = match options.sink.as_mut() {
+        Some(s) => &mut **s,
+        None => &mut null,
+    };
+    pass(unit, sink)?;
+    let record = PassRecord {
+        kind,
+        stmts: unit.stmt_count(),
+        vops: unit.vop_count(),
+    };
+    if sink.enabled() {
+        sink.emit(TraceEvent::PassComplete {
+            seq,
+            pass: kind,
+            stmts: record.stmts as u32,
+            vops: record.vops as u32,
+        });
+    }
+    if let Some(rec) = options.recorder.as_mut() {
+        if rec.enabled() {
+            let labels = [("pass", kind.name())];
+            rec.observe("vsp_sched_pass_micros", &labels, watch.elapsed_micros());
+            rec.add("vsp_sched_passes_total", &labels, 1);
+            // Quality deltas: how much each technique grew or shrank the
+            // kernel and its lowered form.
+            rec.gauge(
+                "vsp_sched_pass_stmts_delta",
+                &labels,
+                record.stmts as f64 - before.0 as f64,
+            );
+            rec.gauge(
+                "vsp_sched_pass_vops_delta",
+                &labels,
+                record.vops as f64 - before.1 as f64,
+            );
         }
     }
-
-    /// The backend stage a [`Strategy`] describes: (for the list/modulo
-    /// backends) the lowering pass, then the scheduling pass.
-    pub fn backend(strategy: &Strategy) -> Pipeline {
-        let mut passes: Vec<Box<dyn Pass>> = Vec::new();
-        if !matches!(strategy.scheduler, SchedulerChoice::Sequential) {
-            passes.push(Box::new(LowerPass {
-                scope: strategy.scope,
-                loop_control: strategy.loop_control,
-            }));
-        }
-        passes.push(Box::new(SchedulePass {
-            choice: strategy.scheduler,
-        }));
-        Pipeline { passes }
-    }
-
-    /// An empty pipeline (append with [`Pipeline::push`]).
-    pub fn empty() -> Pipeline {
-        Pipeline { passes: Vec::new() }
-    }
-
-    /// Appends a custom pass.
-    pub fn push(&mut self, pass: Box<dyn Pass>) {
-        self.passes.push(pass);
-    }
-
-    /// Runs every pass in order over `unit`.
-    ///
-    /// After each pass the runner appends a [`PassRecord`] to `report`,
-    /// emits a [`TraceEvent::PassComplete`] (numbered after the records
-    /// already in `report`) into the options sink, and asks the options
-    /// validator to check the unit.
-    ///
-    /// # Errors
-    ///
-    /// The first pass error, or [`SchedError::Pipeline`] when the
-    /// validator reports violations.
-    pub fn run(
-        &self,
-        unit: &mut CompilationUnit,
-        options: &mut CompileOptions<'_>,
-        report: &mut PipelineReport,
-    ) -> Result<(), SchedError> {
-        let mut null = NullSink;
-        for pass in &self.passes {
-            let seq = report.passes.len();
-            let before = (unit.stmt_count(), unit.vop_count());
-            let watch = vsp_metrics::Stopwatch::start();
-            {
-                let sink: &mut dyn TraceSink = match options.sink.as_mut() {
-                    Some(s) => &mut **s,
-                    None => &mut null,
-                };
-                pass.run(unit, sink)?;
-                if sink.enabled() {
-                    sink.emit(TraceEvent::PassComplete {
-                        seq: seq as u32,
-                        pass: pass.kind(),
-                        stmts: unit.stmt_count() as u32,
-                        vops: unit.vop_count() as u32,
-                    });
-                }
-            }
-            if let Some(rec) = options.recorder.as_mut() {
-                if rec.enabled() {
-                    let labels = [("pass", pass.name())];
-                    rec.observe("vsp_sched_pass_micros", &labels, watch.elapsed_micros());
-                    rec.add("vsp_sched_passes_total", &labels, 1);
-                    // Quality deltas: how much each technique grew or
-                    // shrank the kernel and its lowered form.
-                    rec.gauge(
-                        "vsp_sched_pass_stmts_delta",
-                        &labels,
-                        unit.stmt_count() as f64 - before.0 as f64,
-                    );
-                    rec.gauge(
-                        "vsp_sched_pass_vops_delta",
-                        &labels,
-                        unit.vop_count() as f64 - before.1 as f64,
-                    );
-                }
-            }
-            report.passes.push(PassRecord {
-                pass: pass.name().to_string(),
-                kind: pass.kind(),
-                stmts: unit.stmt_count(),
-                vops: unit.vop_count(),
+    report.passes.push(record);
+    if let Some(v) = options.validator {
+        let violations = v.validate(unit, kind.name());
+        if !violations.is_empty() {
+            return Err(SchedError::Pipeline {
+                pass: "validate",
+                detail: format!(
+                    "{} violation(s) after pass {}: {}",
+                    violations.len(),
+                    kind.name(),
+                    violations.join("; ")
+                ),
             });
-            if let Some(v) = options.validator {
-                let violations = v.validate(unit, pass.name());
-                if !violations.is_empty() {
-                    return Err(SchedError::Pipeline {
-                        pass: "validate",
-                        detail: format!(
-                            "{} violation(s) after pass {}: {}",
-                            violations.len(),
-                            pass.name(),
-                            violations.join("; ")
-                        ),
-                    });
-                }
-            }
         }
-        Ok(())
     }
+    Ok(())
 }
 
 /// Everything a strategy produced for one kernel on one machine.
@@ -859,7 +669,8 @@ pub struct CompileResult {
 }
 
 impl CompileResult {
-    /// The scalars cycle composition reads from this result.
+    /// The scalars cycle composition reads from this result: sequential
+    /// cycles, II, schedule length and cycles per trip count.
     pub fn summary(&self) -> ScheduleSummary {
         let backend = match &self.schedule {
             ScheduleArtifact::Sequential { cycles } => {
@@ -875,33 +686,6 @@ impl CompileResult {
             backend,
             scheduled_trip: self.scheduled_trip,
         }
-    }
-
-    /// Sequential-backend cycles (whole kernel, one execution).
-    pub fn seq_cycles(&self) -> Option<u64> {
-        self.summary().seq_cycles()
-    }
-
-    /// Achieved initiation interval (modulo backend only).
-    pub fn ii(&self) -> Option<u64> {
-        self.summary().ii()
-    }
-
-    /// Schedule length in cycles (list or modulo backend).
-    pub fn length(&self) -> Option<u64> {
-        self.summary().length()
-    }
-
-    /// Cycles for `trips` iterations of the scheduled scope (list or
-    /// modulo backend).
-    pub fn cycles_for(&self, trips: u64) -> Option<u64> {
-        self.summary().cycles_for(trips)
-    }
-
-    /// Cycles for the scheduled loop's own trip count
-    /// ([`ScheduleScope::FirstLoop`] recipes).
-    pub fn loop_cycles(&self) -> Option<u64> {
-        self.summary().loop_cycles()
     }
 }
 
@@ -987,13 +771,17 @@ pub fn transform(
     report: &mut PipelineReport,
 ) -> Result<Arc<Kernel>, SchedError> {
     let mut unit = CompilationUnit::new(kernel.clone());
-    Pipeline::ir(passes).run(&mut unit, options, report)?;
+    for pass in passes {
+        run_pass(pass.kind(), &mut unit, options, report, |unit, _| {
+            pass.apply(Arc::make_mut(&mut unit.kernel))
+        })?;
+    }
     Ok(unit.kernel)
 }
 
 /// The second stage of a compile: lowers a kernel [`transform`]ed by
-/// `strategy`'s passes and schedules it on `machine` with the strategy's
-/// backend, continuing `report`.
+/// `strategy`'s passes (list and modulo backends) and schedules it on
+/// `machine` with the strategy's backend, continuing `report`.
 ///
 /// # Errors
 ///
@@ -1013,22 +801,39 @@ pub fn lower_and_schedule(
         scheduled_trip: None,
         schedule: None,
     };
-    Pipeline::backend(strategy).run(&mut unit, options, &mut report)?;
-    let schedule = unit.schedule.ok_or_else(|| SchedError::Pipeline {
-        pass: "schedule",
-        detail: "pipeline finished without producing a schedule".into(),
-    })?;
+    if !matches!(strategy.scheduler, SchedulerChoice::Sequential) {
+        run_pass(
+            PipelinePass::Lower,
+            &mut unit,
+            options,
+            &mut report,
+            |unit, _| lower(unit, machine, strategy),
+        )?;
+    }
+    run_pass(
+        PipelinePass::Schedule,
+        &mut unit,
+        options,
+        &mut report,
+        |unit, sink| {
+            unit.schedule = Some(schedule(unit, machine, strategy.scheduler, sink)?);
+            Ok(())
+        },
+    )?;
+    let Some(artifact) = unit.schedule else {
+        unreachable!("the scheduling pass sets the unit's schedule")
+    };
     Ok(CompileResult {
         kernel: unit.kernel,
         lowered: unit.lowered,
         deps: unit.deps,
-        schedule,
+        schedule: artifact,
         scheduled_trip: unit.scheduled_trip,
         report,
     })
 }
 
-/// Compiles `kernel` for `machine` by running the strategy's pipeline.
+/// Compiles `kernel` for `machine` by running the strategy's two stages.
 ///
 /// The single entry point behind every Table 1/Table 2 row, the trace
 /// and fuzz drivers, and the `explore-strategies` sweeps.
@@ -1053,7 +858,7 @@ pub fn lower_and_schedule(
 ///     SchedulerChoice::Modulo { clusters_used: 1, ii_search: 64 },
 /// );
 /// let result = vsp_sched::compile(&kernel, &models::i4c8s4(), &strategy).unwrap();
-/// assert!(result.ii().unwrap() >= 1);
+/// assert!(result.summary().ii().unwrap() >= 1);
 /// ```
 ///
 /// # Errors
@@ -1091,14 +896,15 @@ pub fn compile_with(
     if let Some(rec) = options.recorder.as_mut() {
         if rec.enabled() {
             let labels = [("strategy", strategy.name.as_str())];
+            let summary = result.summary();
             rec.add("vsp_sched_compiles_total", &labels, 1);
-            if let Some(ii) = result.ii() {
+            if let Some(ii) = summary.ii() {
                 rec.gauge("vsp_sched_schedule_ii", &labels, ii as f64);
             }
-            if let Some(len) = result.length() {
+            if let Some(len) = summary.length() {
                 rec.gauge("vsp_sched_schedule_length", &labels, len as f64);
             }
-            if let Some(seq) = result.seq_cycles() {
+            if let Some(seq) = summary.seq_cycles() {
                 rec.gauge("vsp_sched_seq_cycles", &labels, seq as f64);
             }
         }
@@ -1130,9 +936,21 @@ mod tests {
         let m = models::i4c8s4();
         let s = Strategy::new("seq", ScheduleScope::WholeBody, SchedulerChoice::Sequential);
         let r = compile(&k, &m, &s).unwrap();
-        assert!(r.seq_cycles().unwrap() > 16, "loop body times trip count");
-        assert!(r.ii().is_none());
+        assert!(
+            r.summary().seq_cycles().unwrap() > 16,
+            "loop body times trip count"
+        );
+        assert!(r.summary().ii().is_none());
         assert_eq!(r.report.passes.len(), 1, "only the schedule pass ran");
+    }
+
+    #[test]
+    fn sequential_tiny_loops_pay_delay_slots() {
+        let m = models::i4c8s4();
+        // Tiny body: 2 ops + 2 close + 1 unfilled delay = 5/iter.
+        assert_eq!(sequential_iteration(&m, 2), 5);
+        // Big body fills its delay slot: 10 + 2 = 12/iter.
+        assert_eq!(sequential_iteration(&m, 10), 12);
     }
 
     #[test]
@@ -1149,8 +967,9 @@ mod tests {
         );
         let r = compile(&k, &m, &s).unwrap();
         assert_eq!(r.scheduled_trip, Some(16));
-        assert!(r.ii().unwrap() >= 1);
-        assert!(r.loop_cycles().unwrap() >= r.ii().unwrap() * 15);
+        let summary = r.summary();
+        assert!(summary.ii().unwrap() >= 1);
+        assert!(summary.loop_cycles().unwrap() >= summary.ii().unwrap() * 15);
         // lower + schedule recorded.
         assert_eq!(r.report.passes.len(), 2);
         assert!(r
@@ -1173,7 +992,7 @@ mod tests {
         .then(PassConfig::Cse)
         .then(PassConfig::StrengthReduce);
         let r = compile(&k, &m, &s).unwrap();
-        assert!(r.length().unwrap() >= 1);
+        assert!(r.summary().length().unwrap() >= 1);
         let stmts: Vec<usize> = r.report.passes.iter().map(|p| p.stmts).collect();
         assert!(stmts[0] > 16, "full unroll replicated the body: {stmts:?}");
         assert!(stmts[1] <= stmts[0], "cse never grows: {stmts:?}");
@@ -1285,11 +1104,11 @@ mod tests {
         );
         assert_eq!(
             snap.gauge("vsp_sched_schedule_ii", &[("strategy", "swp")]),
-            result.ii().map(|ii| ii as f64),
+            result.summary().ii().map(|ii| ii as f64),
         );
         assert_eq!(
             snap.gauge("vsp_sched_schedule_length", &[("strategy", "swp")]),
-            result.length().map(|l| l as f64),
+            result.summary().length().map(|l| l as f64),
         );
     }
 

@@ -23,7 +23,7 @@
 //! * crossbar ports — the transfer resource (`mii`, `CycleReservation`);
 //! * load-use delay, multiplier and transfer latencies — the dependence
 //!   delays (`LatencyModel`, `list`, `modulo`);
-//! * branch delay slots — the sequential cost walk (`pipeline`, `cost`);
+//! * branch delay slots — the sequential cost walk (`pipeline`);
 //! * addressing, absolute-difference operator, multiplier width —
 //!   lowering's instruction selection (`lower`).
 //!

@@ -73,7 +73,14 @@ fn main() {
     let mut contenders = vsp::core::models::table1_models();
     contenders.push(fat);
     for m in &contenders {
-        let best = full_search_rows(m).iter().map(|r| r.cycles).min().unwrap();
+        let rows = match full_search_rows(m) {
+            Ok(rows) => rows,
+            Err(e) => {
+                println!("  {:<10} {e}", m.name);
+                continue;
+            }
+        };
+        let best = rows.iter().map(|r| r.cycles).min().unwrap();
         let rel = CycleTimeModel::new()
             .estimate(&m.datapath_spec())
             .relative_to(&base_clock);

@@ -34,7 +34,7 @@ fn main() {
     println!("\nFull Motion Search, cycles per frame (Table 1 column):");
     for machine in models::table1_models() {
         println!("  {}:", machine.name);
-        for row in full_search_rows(&machine) {
+        for row in full_search_rows(&machine).expect("paper models compile") {
             println!("    {:<36} {:>8.2}M", row.variant, row.cycles as f64 / 1e6);
         }
     }
@@ -42,6 +42,7 @@ fn main() {
     // The §4 conclusion: real-time headroom at 30 frames/second.
     let machine = models::i4c8s4();
     let best = full_search_rows(&machine)
+        .expect("paper models compile")
         .iter()
         .map(|r| r.cycles)
         .min()

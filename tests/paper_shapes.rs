@@ -4,7 +4,7 @@
 //! tables.
 
 use vsp::core::models;
-use vsp::kernels::variants::{self, KernelId, Row};
+use vsp::kernels::variants::{self, KernelId, Row, RowError};
 use vsp::vlsi::clock::CycleTimeModel;
 
 fn find(rows: &[Row], variant: &str) -> u64 {
@@ -28,7 +28,7 @@ fn headline_small_clusters_beat_the_initial_design() {
     // faster than the initial I4C8S4 model."
     let base = models::i4c8s4();
     let base_clock = CycleTimeModel::new().estimate(&base.datapath_spec());
-    let base_rows = variants::table1_rows(&base);
+    let base_rows = variants::table1_rows(&base).unwrap();
 
     let mut improvements = Vec::new();
     for kernel in [
@@ -45,7 +45,7 @@ fn headline_small_clusters_beat_the_initial_design() {
             let rel = CycleTimeModel::new()
                 .estimate(&m.datapath_spec())
                 .relative_to(&base_clock);
-            let rows = variants::table1_rows(&m);
+            let rows = variants::table1_rows(&m).unwrap();
             best_small = best_small.min(best(&rows, kernel) as f64 / rel);
         }
         improvements.push((kernel, base_time / best_small));
@@ -63,8 +63,8 @@ fn load_bandwidth_is_the_i4c8_bottleneck_until_blocking() {
     // §3.4.1: the I4C8 models are load-limited in the software-pipelined
     // schedules; blocking "eliminates the differences among datapath
     // models".
-    let wide = variants::full_search_rows(&models::i4c8s4());
-    let dual = variants::full_search_rows(&models::i4c8s4_dualport());
+    let wide = variants::full_search_rows(&models::i4c8s4()).unwrap();
+    let dual = variants::full_search_rows(&models::i4c8s4_dualport()).unwrap();
     let swp_wide = find(&wide, "SW pipelined & unrolled");
     let swp_dual = find(&dual, "SW pipelined & unrolled");
     assert!(
@@ -87,11 +87,11 @@ fn m16_multipliers_give_3x_to_5x_on_dct() {
     let base = models::i4c8s5();
     let m16 = models::i4c8s5m16();
     for rows_fn in [
-        variants::dct_rowcol_rows as fn(&_) -> Vec<Row>,
-        variants::dct_direct_rows as fn(&_) -> Vec<Row>,
+        variants::dct_rowcol_rows as fn(&_) -> Result<Vec<Row>, RowError>,
+        variants::dct_direct_rows as fn(&_) -> Result<Vec<Row>, RowError>,
     ] {
-        let b = rows_fn(&base);
-        let m = rows_fn(&m16);
+        let b = rows_fn(&base).unwrap();
+        let m = rows_fn(&m16).unwrap();
         let kernel = b[0].kernel;
         // Like-for-like, as Table 2 reports it: the full-precision
         // software-pipelined schedule.
@@ -115,8 +115,14 @@ fn m16_multipliers_give_3x_to_5x_on_dct() {
         assert!(best_gain > 1.4, "{kernel:?}: best-to-best {best_gain:.1}");
     }
     // Motion search is unaffected by the multiplier width.
-    let ms_base = best(&variants::full_search_rows(&base), KernelId::FullSearch);
-    let ms_m16 = best(&variants::full_search_rows(&m16), KernelId::FullSearch);
+    let ms_base = best(
+        &variants::full_search_rows(&base).unwrap(),
+        KernelId::FullSearch,
+    );
+    let ms_m16 = best(
+        &variants::full_search_rows(&m16).unwrap(),
+        KernelId::FullSearch,
+    );
     assert_eq!(ms_base, ms_m16);
 }
 
@@ -126,8 +132,8 @@ fn no_single_resource_limits_a_majority_of_kernels() {
     // the examples indicating a relatively balanced design". Probe by
     // relieving one resource at a time on I4C8S4 and checking that each
     // relief helps at most a minority of kernels.
-    let base_rows = variants::table1_rows(&models::i4c8s4());
-    let dual_rows = variants::table1_rows(&models::i4c8s4_dualport());
+    let base_rows = variants::table1_rows(&models::i4c8s4()).unwrap();
+    let dual_rows = variants::table1_rows(&models::i4c8s4_dualport()).unwrap();
     let kernels = [
         KernelId::FullSearch,
         KernelId::ThreeStep,
@@ -152,8 +158,8 @@ fn five_stage_load_use_delays_rarely_hurt() {
     // rarely increased execution time." Compare I4C8S4C (4-stage,
     // complex addressing) with I4C8S5 (5-stage, complex addressing):
     // cycle counts should be within a few percent on the best schedules.
-    let c4 = variants::table1_rows(&models::i4c8s4c());
-    let c5 = variants::table1_rows(&models::i4c8s5());
+    let c4 = variants::table1_rows(&models::i4c8s4c()).unwrap();
+    let c5 = variants::table1_rows(&models::i4c8s5()).unwrap();
     for kernel in [KernelId::FullSearch, KernelId::DctRowCol, KernelId::Color] {
         let a = best(&c4, kernel) as f64;
         let b = best(&c5, kernel) as f64;
@@ -169,8 +175,8 @@ fn five_stage_load_use_delays_rarely_hurt() {
 fn complex_addressing_helps_little_on_optimized_code() {
     // §4: "Complex addressing modes improved performance on several
     // examples but only minimally on the most highly optimized code."
-    let simple = variants::full_search_rows(&models::i4c8s4());
-    let complex = variants::full_search_rows(&models::i4c8s5());
+    let simple = variants::full_search_rows(&models::i4c8s4()).unwrap();
+    let complex = variants::full_search_rows(&models::i4c8s5()).unwrap();
     // Unoptimized: clear win.
     let u_gain =
         find(&simple, "Unrolled Inner Loop") as f64 / find(&complex, "Unrolled Inner Loop") as f64;
@@ -228,8 +234,8 @@ fn dct_direct_to_rowcol_factor() {
     // Table 1: 703.1M vs 135.0M sequential (5.2x); the parallel rows stay
     // in the 3x-6x band.
     for m in models::table1_models() {
-        let d = variants::dct_direct_rows(&m);
-        let r = variants::dct_rowcol_rows(&m);
+        let d = variants::dct_direct_rows(&m).unwrap();
+        let r = variants::dct_rowcol_rows(&m).unwrap();
         let ratio =
             find(&d, "Sequential-unoptimized") as f64 / find(&r, "Sequential-unoptimized") as f64;
         assert!((3.0..9.0).contains(&ratio), "{}: {ratio:.1}", m.name);
