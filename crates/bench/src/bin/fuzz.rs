@@ -30,7 +30,7 @@ use vsp_check::ScheduleValidator;
 use vsp_core::{models, MachineConfig};
 use vsp_fault::{run_inline, CampaignReport, CaseOutcome};
 use vsp_kernels::strategies;
-use vsp_sched::{compile_with, CompileOptions, SchedError};
+use vsp_sched::{compile_with, CompileOptions, SchedError, Strategy};
 use vsp_sim::{BatchSimulator, RunStats};
 
 use rand::rngs::SmallRng;
@@ -169,10 +169,10 @@ fn emit(report: &FailureReport, json: bool) {
 /// that violates the machine description — a real bug.
 fn pipeline_case(
     machine: &MachineConfig,
+    catalog: &[Strategy],
     rng: &mut SmallRng,
 ) -> Result<RunStats, (&'static str, DiffFailure)> {
     let kernel = gen_kernel(rng, &KernelGenConfig::default()).kernel;
-    let catalog = strategies::catalog();
     let strategy = &catalog[rng.gen_range(0..catalog.len())];
     let validator = ScheduleValidator;
     let mut options = CompileOptions {
@@ -215,10 +215,13 @@ fn case_kind(i: u64) -> &'static str {
 }
 
 /// Runs case `i` on `machine`: generation, validity check, differential
-/// execution, with `engine` (built for `machine`) for the batch lanes.
+/// execution, with `engine` (built for `machine`) for the batch lanes
+/// and `catalog` (the strategy catalog, built once per run) for the
+/// pipeline cases.
 fn run_one(
     args: &Args,
     machine: &MachineConfig,
+    catalog: &[Strategy],
     engine: &mut BatchSimulator,
     i: u64,
 ) -> CaseResult {
@@ -231,7 +234,7 @@ fn run_one(
                 .collect();
             diff_kernel(machine, &kernel, &data, args.max_cycles).map_err(|f| ("kernel", f))?
         }
-        "pipeline" => pipeline_case(machine, &mut rng)?,
+        "pipeline" => pipeline_case(machine, catalog, &mut rng)?,
         _ => return program_case(args, machine, engine, &mut rng),
     };
     Ok((stats.cycles, stats.total_ops(), None))
@@ -294,6 +297,7 @@ fn run() -> Result<(), String> {
         None => models::all_models(),
     };
     let model_of = |i: u64| (i % machines.len() as u64) as usize;
+    let catalog = strategies::catalog();
 
     // Every case runs inline on a worker, its panic contained there.
     let outcomes = vsp_dse::par_map(
@@ -301,7 +305,7 @@ fn run() -> Result<(), String> {
         || machines.iter().map(BatchSimulator::new).collect::<Vec<_>>(),
         |engines, i| {
             let m = model_of(i);
-            run_inline(|| run_one(&args, &machines[m], &mut engines[m], i))
+            run_inline(|| run_one(&args, &machines[m], &catalog, &mut engines[m], i))
         },
     );
 

@@ -162,25 +162,24 @@ pub fn check_program(machine: &MachineConfig, program: &Program) -> Vec<Violatio
     let regs = machine.cluster.registers as usize;
     let preds = machine.cluster.pred_regs as usize;
     let bds = machine.pipeline.branch_delay_slots as usize;
-    let mut reg_ready = vec![vec![0usize; regs]; clusters];
-    let mut pred_ready = vec![vec![0usize; preds]; clusters];
+    // Ready words, flat: cluster `c`'s register `r` is
+    // `reg_ready[c * regs + r]`, its predicate `p` is
+    // `pred_ready[c * preds + p]`.
+    let mut reg_ready = vec![0usize; clusters * regs];
+    let mut pred_ready = vec![0usize; clusters * preds];
     // Word index at which the ready tables stop describing execution
     // because a non-linear redirect takes effect there.
     let mut reset_at: Option<usize> = None;
 
     'words: for (w, word) in program.iter().enumerate() {
         if reset_at == Some(w) {
-            reg_ready
-                .iter_mut()
-                .for_each(|v| v.iter_mut().for_each(|x| *x = 0));
-            pred_ready
-                .iter_mut()
-                .for_each(|v| v.iter_mut().for_each(|x| *x = 0));
+            reg_ready.fill(0);
+            pred_ready.fill(0);
             reset_at = None;
         }
 
         let check_reg = |out: &mut Vec<Violation>, c: u8, r: u16| {
-            let ready = reg_ready[c as usize][r as usize];
+            let ready = reg_ready[c as usize * regs + r as usize];
             if ready > w {
                 out.push(Violation::ReadBeforeReady {
                     word: w,
@@ -204,7 +203,7 @@ pub fn check_program(machine: &MachineConfig, program: &Program) -> Vec<Violatio
             }
         }
         let check_pred = |out: &mut Vec<Violation>, c: u8, p: u8| {
-            let ready = pred_ready[c as usize][p as usize];
+            let ready = pred_ready[c as usize * preds + p as usize];
             if ready > w {
                 out.push(Violation::PredBeforeReady {
                     word: w,
@@ -229,10 +228,10 @@ pub fn check_program(machine: &MachineConfig, program: &Program) -> Vec<Violatio
         for op in word.iter() {
             let latency = lat.latency(&op.kind) as usize;
             if let Some(d) = op.kind.def_reg() {
-                reg_ready[op.cluster as usize][d.index()] = w + latency;
+                reg_ready[op.cluster as usize * regs + d.index()] = w + latency;
             }
             if let Some(p) = op.kind.def_pred() {
-                pred_ready[op.cluster as usize][p.index()] = w + latency;
+                pred_ready[op.cluster as usize * preds + p.index()] = w + latency;
             }
             match &op.kind {
                 OpKind::Halt => break 'words,

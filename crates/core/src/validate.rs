@@ -133,8 +133,11 @@ pub fn validate_program_with(
         });
     }
 
+    // One reservation serves every word: each word's reserved ops are
+    // released from it once the word is checked, leaving it empty.
+    let mut cycle = CycleReservation::new(machine);
+    let mut reserved = Vec::with_capacity(machine.peak_ops_per_cycle() as usize);
     for (w, word) in program.iter().enumerate() {
-        let mut cycle = CycleReservation::new(machine);
         for op in word.iter() {
             let err = |kind: ViolationKind| ValidationError { word: w, kind };
 
@@ -142,6 +145,7 @@ pub fn validate_program_with(
                 errors.push(err(ViolationKind::Resource(e)));
                 continue;
             }
+            reserved.push(op);
 
             let check_reg = |r: u16, errors: &mut Vec<ValidationError>| {
                 if u32::from(r) >= regs {
@@ -208,6 +212,9 @@ pub fn validate_program_with(
             // construction, but register operands inside composite operands
             // were covered above.
             let _ = Operand::Imm(0);
+        }
+        for op in reserved.drain(..) {
+            cycle.release(op);
         }
     }
 

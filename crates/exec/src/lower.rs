@@ -40,12 +40,31 @@ const OPS_LIMIT: usize = 1 << 20;
 /// A register-file or predicate-file slot, flattened: `(is_pred, idx)`.
 type Key = (bool, u32);
 
+/// The slots one node reads, inline: at most four (a guard, a store's
+/// value and an indexed address's two registers).
+#[derive(Clone, Copy, Default)]
+struct Reads {
+    keys: [Key; 4],
+    len: u8,
+}
+
+impl Reads {
+    fn push(&mut self, key: Key) {
+        self.keys[usize::from(self.len)] = key;
+        self.len += 1;
+    }
+
+    fn contains(&self, key: Key) -> bool {
+        self.keys[..usize::from(self.len)].contains(&key)
+    }
+}
+
 /// An emitted op of the word being lowered, with the ordering metadata
 /// the intra-word topological sort needs.
 struct Node {
     guard: Option<(u32, bool)>,
     op: RtOp,
-    reads: Vec<Key>,
+    reads: Reads,
     write: Option<Key>,
     is_load: bool,
     is_store: bool,
@@ -75,9 +94,18 @@ fn mutually_exclusive(a: Option<(u32, bool)>, b: Option<(u32, bool)>) -> bool {
     matches!((a, b), (Some((pa, sa)), Some((pb, sb))) if pa == pb && sa != sb)
 }
 
-/// Commits not yet landed for one flat register/predicate:
-/// `(commit cycle, guard)`.
-type Inflight = Vec<(u64, Option<(u32, bool)>)>;
+/// A commit not yet landed: `(slot written, commit cycle, guard)`.
+type Inflight = (Key, u64, Option<(u32, bool)>);
+
+/// Buffers one walk reuses for every word: the word's nodes and
+/// pending writes, and the intra-word sort's bookkeeping.
+#[derive(Default)]
+struct WordScratch {
+    nodes: Vec<Node>,
+    pending: Vec<PendingWrite>,
+    emitted: Vec<bool>,
+    op_index: Vec<usize>,
+}
 
 struct Walk {
     shape: FrameShape,
@@ -87,8 +115,9 @@ struct Walk {
     pred_ready: Vec<u64>,
     known_reg: Vec<Option<i16>>,
     known_pred: Vec<Option<bool>>,
-    inflight_reg: Vec<Inflight>,
-    inflight_pred: Vec<Inflight>,
+    /// Every commit of the register and predicate files still in
+    /// flight, pruned of landed ones once per word.
+    inflight: Vec<Inflight>,
     ops: Vec<RtOp>,
     /// Every emitted op that writes a register/predicate: `(op index,
     /// commit cycle)` — consulted once at the end to discard writes the
@@ -130,7 +159,7 @@ impl Walk {
         c: u8,
         o: DOperand,
         word: usize,
-        reads: &mut Vec<Key>,
+        reads: &mut Reads,
     ) -> Result<(RtOperand, Option<i16>), ExecError> {
         match o {
             DOperand::Reg(r) => {
@@ -145,13 +174,7 @@ impl Walk {
 
     /// Resolves an effective address to its run-time form, checking the
     /// registers it reads.
-    fn addr(
-        &self,
-        c: u8,
-        a: DAddr,
-        word: usize,
-        reads: &mut Vec<Key>,
-    ) -> Result<RtAddr, ExecError> {
+    fn addr(&self, c: u8, a: DAddr, word: usize, reads: &mut Reads) -> Result<RtAddr, ExecError> {
         let mut reg = |r: u16| -> Result<u32, ExecError> {
             self.read_reg(c, r, word)?;
             let i = self.rflat(c, r) as u32;
@@ -173,21 +196,22 @@ impl Walk {
     /// Guarded writes that can never coexist (opposite senses of one
     /// predicate) are exempt: at most one executes per run.
     fn schedule(&mut self, pending: &[PendingWrite], word: usize) -> Result<(), ExecError> {
+        let cycle = self.cycle;
+        self.inflight.retain(|&(_, at, _)| at > cycle);
         for w in pending {
-            let idx = w.key.1 as usize;
-            let (ready, inflight) = if w.key.0 {
-                (&mut self.pred_ready[idx], &mut self.inflight_pred[idx])
-            } else {
-                (&mut self.reg_ready[idx], &mut self.inflight_reg[idx])
-            };
-            inflight.retain(|&(at, _)| at > self.cycle);
-            for &(at, guard) in inflight.iter() {
-                if at >= w.at && !mutually_exclusive(w.guard, guard) {
+            for &(key, at, guard) in &self.inflight {
+                if key == w.key && at >= w.at && !mutually_exclusive(w.guard, guard) {
                     return Err(Unsupported::TimingHazard { word }.into());
                 }
             }
+            let idx = w.key.1 as usize;
+            let ready = if w.key.0 {
+                &mut self.pred_ready[idx]
+            } else {
+                &mut self.reg_ready[idx]
+            };
             *ready = (*ready).max(w.at);
-            inflight.push((w.at, w.guard));
+            self.inflight.push((w.key, w.at, w.guard));
         }
         for w in pending {
             let idx = w.key.1 as usize;
@@ -209,15 +233,18 @@ impl Walk {
     /// writer, every load before every store, and stores before swaps.
     /// Issue order is kept wherever the constraints allow (a stable
     /// topological sort). Records trace indices for pending writes.
-    fn emit_word(
-        &mut self,
-        nodes: Vec<Node>,
-        pending: &[PendingWrite],
-        word: usize,
-    ) -> Result<(), ExecError> {
+    fn emit_word(&mut self, scratch: &mut WordScratch, word: usize) -> Result<(), ExecError> {
+        let WordScratch {
+            nodes,
+            pending,
+            emitted,
+            op_index,
+        } = scratch;
         let n = nodes.len();
-        let mut emitted = vec![false; n];
-        let mut op_index = vec![0usize; n];
+        emitted.clear();
+        emitted.resize(n, false);
+        op_index.clear();
+        op_index.resize(n, 0);
         let mut remaining = n;
         while remaining > 0 {
             let mut progress = false;
@@ -231,7 +258,7 @@ impl Walk {
                         return false;
                     }
                     let anti = match node.write {
-                        Some(w) => other.reads.contains(&w),
+                        Some(w) => other.reads.contains(w),
                         None => false,
                     };
                     anti || (node.is_store && other.is_load)
@@ -253,7 +280,7 @@ impl Walk {
                 return Err(Unsupported::SameCycleExchange { word }.into());
             }
         }
-        for w in pending {
+        for w in pending.iter() {
             self.write_log.push((op_index[w.node], w.at));
         }
         if self.ops.len() > OPS_LIMIT {
@@ -294,12 +321,12 @@ pub(crate) fn lower(
         pred_ready: vec![0; npreds],
         known_reg: vec![Some(0); nregs],
         known_pred: vec![Some(false); npreds],
-        inflight_reg: vec![Vec::new(); nregs],
-        inflight_pred: vec![Vec::new(); npreds],
+        inflight: Vec::new(),
         ops: Vec::new(),
         write_log: Vec::new(),
     };
 
+    let mut scratch = WordScratch::default();
     let delay_slots = machine.pipeline.branch_delay_slots;
     let mut pc = 0usize;
     let mut redirect: Option<(usize, u32)> = None;
@@ -312,15 +339,16 @@ pub(crate) fn lower(
             return Err(Unsupported::RanOffEnd { word: pc }.into());
         }
 
-        let mut nodes: Vec<Node> = Vec::new();
-        let mut pending: Vec<PendingWrite> = Vec::new();
+        scratch.nodes.clear();
+        scratch.pending.clear();
+        let WordScratch { nodes, pending, .. } = &mut scratch;
         let mut last_branch: Option<usize> = None;
         let mut halt = false;
 
         for i in decoded.word_range(pc) {
             let op: DecodedOp = decoded.op(i);
             let c = op.cluster;
-            let mut reads: Vec<Key> = Vec::new();
+            let mut reads = Reads::default();
             let mut guard: Option<(u32, bool)> = None;
             if op.guard_pred != NO_GUARD {
                 let known = walk.read_pred(c, op.guard_pred, pc)?;
@@ -601,8 +629,8 @@ pub(crate) fn lower(
             }
         }
 
-        walk.schedule(&pending, pc)?;
-        walk.emit_word(nodes, &pending, pc)?;
+        walk.schedule(&scratch.pending, pc)?;
+        walk.emit_word(&mut scratch, pc)?;
 
         if halt {
             halt_cycle = walk.cycle;

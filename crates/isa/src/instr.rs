@@ -43,7 +43,9 @@ impl Instruction {
     ///
     /// Panics if two operations occupy the same (cluster, slot) pair.
     pub fn from_ops(ops: Vec<Operation>) -> Self {
-        let mut w = Instruction::new();
+        let mut w = Instruction {
+            ops: Vec::with_capacity(ops.len()),
+        };
         for op in ops {
             w.push(op);
         }

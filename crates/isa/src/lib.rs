@@ -51,7 +51,7 @@ pub mod reg;
 pub mod semantics;
 
 pub use instr::Instruction;
-pub use op::{OpKind, Operation, PredGuard};
+pub use op::{OpKind, Operation, PredGuard, UseRegs};
 pub use opcode::{AluBinOp, AluUnOp, CmpOp, FuClass, MemCtlOp, MulKind, ShiftOp};
 pub use operand::{AddrMode, MemBank, Operand};
 pub use program::{Program, ProgramBuilder};

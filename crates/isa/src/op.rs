@@ -4,6 +4,7 @@ use crate::opcode::{AluBinOp, AluUnOp, CmpOp, FuClass, MemCtlOp, MulKind, ShiftO
 use crate::operand::{AddrMode, MemBank, Operand};
 use crate::reg::{ClusterId, Pred, Reg, SlotId};
 use std::fmt;
+use std::ops::Deref;
 
 /// A predicate guard: the operation commits only when the named predicate
 /// register holds `sense`.
@@ -192,9 +193,13 @@ impl OpKind {
     }
 
     /// General registers read by this operation, in the executing cluster
-    /// (excludes the remote source of an [`OpKind::Xfer`]).
-    pub fn use_regs(&self) -> Vec<Reg> {
-        let mut out = Vec::new();
+    /// (excludes the remote source of an [`OpKind::Xfer`]), in operand
+    /// order.
+    pub fn use_regs(&self) -> UseRegs {
+        let mut out = UseRegs {
+            regs: [Reg(0); 3],
+            len: 0,
+        };
         let mut push = |o: &Operand| {
             if let Operand::Reg(r) = o {
                 out.push(*r);
@@ -209,10 +214,10 @@ impl OpKind {
                 push(b);
             }
             OpKind::AluUn { a, .. } => push(a),
-            OpKind::Load { addr, .. } => out.extend(addr.regs()),
+            OpKind::Load { addr, .. } => addr.regs().for_each(|r| out.push(r)),
             OpKind::Store { src, addr, .. } => {
                 push(src);
-                out.extend(addr.regs());
+                addr.regs().for_each(|r| out.push(r));
             }
             OpKind::Xfer { .. }
             | OpKind::Branch { .. }
@@ -235,6 +240,45 @@ impl OpKind {
             self,
             OpKind::Branch { .. } | OpKind::Jump { .. } | OpKind::Halt
         )
+    }
+}
+
+/// The general registers one operation reads in its own cluster, held
+/// inline: at most three (a store's value and an indexed address's two
+/// registers), so [`OpKind::use_regs`] allocates nothing. Dereferences
+/// to the registers as a slice, in operand order.
+#[derive(Debug, Clone, Copy)]
+pub struct UseRegs {
+    regs: [Reg; 3],
+    len: u8,
+}
+
+impl UseRegs {
+    fn push(&mut self, reg: Reg) {
+        self.regs[usize::from(self.len)] = reg;
+        self.len += 1;
+    }
+
+    /// The registers, in operand order.
+    pub fn as_slice(&self) -> &[Reg] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
+impl Deref for UseRegs {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        self.as_slice()
+    }
+}
+
+impl IntoIterator for UseRegs {
+    type Item = Reg;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Reg, 3>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(usize::from(self.len))
     }
 }
 
@@ -331,7 +375,7 @@ mod tests {
         let k = add_op();
         assert_eq!(k.def_reg(), Some(Reg(3)));
         assert_eq!(k.def_pred(), None);
-        assert_eq!(k.use_regs(), vec![Reg(1)]);
+        assert_eq!(k.use_regs().as_slice(), [Reg(1)]);
     }
 
     #[test]
@@ -342,7 +386,11 @@ mod tests {
             bank: MemBank(0),
         };
         assert_eq!(k.def_reg(), None);
-        assert_eq!(k.use_regs(), vec![Reg(2), Reg(4), Reg(5)]);
+        assert_eq!(k.use_regs().as_slice(), [Reg(2), Reg(4), Reg(5)]);
+        assert_eq!(
+            k.use_regs().into_iter().collect::<Vec<_>>(),
+            [Reg(2), Reg(4), Reg(5)]
+        );
         assert!(k.is_mem());
     }
 

@@ -28,11 +28,11 @@ fn intervals(body: &LoweredBody, times: &[u32]) -> Vec<Interval> {
     let mut last_use = vec![0u32; body.vregs as usize];
     for (i, op) in body.ops.iter().enumerate() {
         let t = times[i];
-        let mut uses = op.kind.use_regs();
-        if let OpKind::Xfer { src, .. } = &op.kind {
-            uses.push(*src);
-        }
-        for u in uses {
+        let xfer_src = match &op.kind {
+            OpKind::Xfer { src, .. } => Some(*src),
+            _ => None,
+        };
+        for u in op.kind.use_regs().into_iter().chain(xfer_src) {
             first_use[u.index()] = first_use[u.index()].min(t);
             last_use[u.index()] = last_use[u.index()].max(t + 1);
         }

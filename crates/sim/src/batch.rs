@@ -476,9 +476,8 @@ impl BatchArena {
     /// Retires `lane` at the shared state it stopped in, exactly as the
     /// scalar `Simulator::stats` would report it: issue capacity is
     /// `words x peak` by construction, and the utilisation histogram
-    /// takes the shape incremental `record_cluster_word` calls give it
-    /// (the outer list reaches the last cluster that issued, each inner
-    /// list its busiest word).
+    /// takes the shape word-by-word recording gives it
+    /// (`RunStats::add_util_histogram`).
     fn retire(&mut self, lane: usize, error: Option<SimError>, peak: u32) {
         let nl = self.nl;
         self.lane_cycle[lane] = self.cycle;
@@ -492,21 +491,7 @@ impl BatchArena {
             issue_capacity: self.counts.words * u64::from(peak),
             ..self.counts.clone()
         };
-        for c in 0..self.nc {
-            for ops in 1..self.hist_bins {
-                let n = self.util_hist[c * self.hist_bins + ops];
-                if n > 0 {
-                    if stats.util_histogram.len() <= c {
-                        stats.util_histogram.resize(c + 1, Vec::new());
-                    }
-                    let h = &mut stats.util_histogram[c];
-                    if h.len() <= ops {
-                        h.resize(ops + 1, 0);
-                    }
-                    h[ops] += n;
-                }
-            }
-        }
+        stats.add_util_histogram(&self.util_hist, self.hist_bins);
         for class in FuClass::ALL {
             let n = self.class_ops[class as usize];
             if n > 0 {

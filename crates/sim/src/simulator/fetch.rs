@@ -16,10 +16,11 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
     /// Semantically identical to [`Simulator::step_interp`] — the
     /// differential tests hold the two to exact [`RunStats`](crate::RunStats)
     /// equality —
-    /// but works from the flat `DecodedProgram`: no word clone, no
-    /// per-op latency lookup, no per-step allocation (scratch buffers
-    /// live on the struct), and the trace check is hoisted into one
-    /// per-step bool.
+    /// but works from the flat `DecodedProgram`: no operand enums, no
+    /// per-op latency lookup, commits through the ring rather than the
+    /// ordered map, and the trace check hoisted into one per-step bool.
+    /// Neither path allocates per step (the result buffers live on the
+    /// struct).
     ///
     /// # Errors
     ///
@@ -97,13 +98,13 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
         self.stats.issue_capacity += u64::from(self.machine.peak_ops_per_cycle());
 
         // Fold this word's per-cluster occupancy into the histogram
-        // (only clusters that issued; zero-buckets are derived at
-        // finalize so idle clusters cost nothing here).
+        // (only clusters that issued; zero-buckets are derived when the
+        // statistics are read, so idle clusters cost nothing here).
         while let Some(cluster) = self.word_touched.pop() {
-            let ops = self.word_cluster_ops[cluster as usize];
-            self.word_cluster_ops[cluster as usize] = 0;
-            self.stats
-                .record_cluster_word(cluster as usize, ops as usize);
+            let c = cluster as usize;
+            let ops = self.word_cluster_ops[c] as usize;
+            self.word_cluster_ops[c] = 0;
+            self.util_hist[c * self.hist_bins + ops] += 1;
         }
         if in_branch_shadow && word_issued_ops == 0 {
             self.stats.branch_bubble_cycles += 1;

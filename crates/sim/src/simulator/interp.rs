@@ -6,20 +6,24 @@ use crate::error::SimError;
 use crate::fault::FaultModel;
 use vsp_core::LatencyModel;
 use vsp_isa::semantics;
-use vsp_isa::{AddrMode, ClusterId, MemCtlOp, OpKind, Operand, Operation, Pred, Reg};
+use vsp_isa::{
+    AddrMode, ClusterId, Instruction, MemCtlOp, OpKind, Operand, Operation, Pred, Program, Reg,
+};
 use vsp_trace::{TraceEvent, TraceSink};
 
-use super::{Commit, HazardPolicy, Simulator};
+use super::{Commit, HazardPolicy, Simulator, WordScratch};
 
 impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S, F, M> {
     /// Executes one instruction word on the legacy interpretive path:
-    /// walks the symbolic [`Program`](vsp_isa::Program) word (cloned per
-    /// step), resolving
-    /// operands, functional-unit classes, and latencies on the fly.
+    /// walks the symbolic [`Program`] word, borrowed
+    /// from the program for the step, resolving operands,
+    /// functional-unit classes, and latencies on the fly.
     ///
-    /// Kept verbatim as the measurement baseline and reference semantics
-    /// for [`Simulator::step`]; only the commit bookkeeping underneath
-    /// (`Simulator::apply_commits`) is shared.
+    /// Kept as the measurement baseline and reference semantics for
+    /// [`Simulator::step`]. Underneath, the two paths share only the
+    /// commit drain (`Simulator::apply_commits`) and the per-word result
+    /// buffers (`WordScratch`); the interpretive path schedules every
+    /// commit through the ordered map.
     ///
     /// # Errors
     ///
@@ -49,114 +53,36 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
 
         self.apply_commits();
 
-        let word = self
-            .program
-            .word(self.pc)
-            .expect("pc checked above")
-            .clone();
+        // The word borrows from the program, which outlives `self`, so
+        // the `&mut self` helpers below may run while it is held.
+        let program: &'a Program = self.program;
+        let word = program.word(self.pc).expect("pc checked above");
         let word_index = self.pc;
-
-        let mut stores: Vec<(ClusterId, u8, u32, i16)> = Vec::new();
-        let mut swaps: Vec<(ClusterId, u8)> = Vec::new();
-        let mut reg_writes: Vec<(ClusterId, u16, i16, u32)> = Vec::new();
-        let mut pred_writes: Vec<(ClusterId, u8, bool, u32)> = Vec::new();
-        let mut branch: Option<usize> = None;
-        let mut halt = false;
 
         // A word issued inside a branch-delay shadow that does no work at
         // all is a branch-redirect bubble; detect it for the stall-cycle
         // breakdown.
         let in_branch_shadow = self.redirect.is_some();
-        let mut word_issued_ops: u32 = 0;
 
-        // Phase 1: all operand fetches happen against the pre-cycle state;
-        // results are collected, not yet visible to the scoreboard (so
-        // same-word reads of a destination see the old value, as the
-        // hardware's operand-fetch stage does).
-        for op in word.iter() {
-            if let Some(active) = self.guard_value(op, word_index)? {
-                if !active {
-                    self.stats.annulled_ops += 1;
-                    word_issued_ops += 1;
-                    if self.sink.enabled() {
-                        self.sink.emit(TraceEvent::Annul {
-                            cycle: self.cycle,
-                            word: word_index as u32,
-                            cluster: op.cluster,
-                            slot: op.slot,
-                        });
-                    }
-                    continue;
-                }
-            }
-            if let Some(class) = op.fu_class() {
-                self.stats.record_op(class, op.cluster as usize);
-                word_issued_ops += 1;
-                if self.word_cluster_ops[op.cluster as usize] == 0 {
-                    self.word_touched.push(op.cluster);
-                }
-                self.word_cluster_ops[op.cluster as usize] += 1;
-                if self.sink.enabled() {
-                    self.sink.emit(TraceEvent::Issue {
-                        cycle: self.cycle,
-                        word: word_index as u32,
-                        cluster: op.cluster,
-                        slot: op.slot,
-                        class,
-                    });
-                }
-            }
-            self.execute_op(
-                op,
-                word_index,
-                &mut stores,
-                &mut swaps,
-                &mut reg_writes,
-                &mut pred_writes,
-                &mut branch,
-                &mut halt,
-            )?;
-        }
-
-        // Phase 2: register/predicate results enter the bypass network.
-        // The interpretive path schedules through the ordered map, as the
-        // original interpreter did, so it stays an honest baseline for
-        // the ring-buffered fast path.
-        for (c, r, v, lat) in reg_writes {
-            self.schedule_reg_interp(c, r, v, lat)?;
-        }
-        for (c, p, v, lat) in pred_writes {
-            self.schedule_pred_interp(c, p, v, lat)?;
-        }
-
-        // End of cycle: stores and buffer swaps become visible.
-        for (c, b, addr, v) in stores {
-            let mem = &mut self.mems[c as usize][b as usize];
-            if !mem.write(addr, v) {
-                return Err(SimError::MemOutOfRange {
-                    cycle: self.cycle,
-                    cluster: c,
-                    bank: b,
-                    addr,
-                    words: mem.words(),
-                });
-            }
-        }
-        for (c, b) in swaps {
-            self.mems[c as usize][b as usize].swap();
-        }
+        // The result buffers leave `self` for the word, as on the fast
+        // path, and come back cleared whatever the word's outcome.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let executed = self.interp_word(word, word_index, &mut scratch);
+        scratch.clear();
+        self.scratch = scratch;
+        let (branch, halt, word_issued_ops) = executed?;
 
         self.stats.words += 1;
         self.stats.issue_capacity += u64::from(self.machine.peak_ops_per_cycle());
 
         // Fold this word's per-cluster occupancy into the histogram
-        // (only clusters that issued; zero-buckets are derived at
-        // finalize so idle clusters cost nothing here).
+        // (only clusters that issued; zero-buckets are derived when the
+        // statistics are read, so idle clusters cost nothing here).
         while let Some(cluster) = self.word_touched.pop() {
-            let ops = self.word_cluster_ops[cluster as usize];
-            self.word_cluster_ops[cluster as usize] = 0;
-            self.stats
-                .record_cluster_word(cluster as usize, ops as usize);
+            let c = cluster as usize;
+            let ops = self.word_cluster_ops[c] as usize;
+            self.word_cluster_ops[c] = 0;
+            self.util_hist[c * self.hist_bins + ops] += 1;
         }
         if in_branch_shadow && word_issued_ops == 0 {
             self.stats.branch_bubble_cycles += 1;
@@ -200,6 +126,91 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
         self.cycle += 1;
         self.stats.cycles = self.cycle;
         Ok(())
+    }
+
+    /// Issues `word` on the interpretive path: reads every operand
+    /// against the pre-cycle state, then schedules the results through
+    /// the ordered map and makes the stores and buffer swaps visible.
+    /// Returns the taken branch target, whether a halt issued, and the
+    /// ops issued (committed and annulled).
+    fn interp_word(
+        &mut self,
+        word: &Instruction,
+        word_index: usize,
+        scratch: &mut WordScratch,
+    ) -> Result<(Option<usize>, bool, u32), SimError> {
+        let mut branch: Option<usize> = None;
+        let mut halt = false;
+        let mut word_issued_ops: u32 = 0;
+
+        // Phase 1: all operand fetches happen against the pre-cycle state;
+        // results are collected, not yet visible to the scoreboard (so
+        // same-word reads of a destination see the old value, as the
+        // hardware's operand-fetch stage does).
+        for op in word.iter() {
+            if let Some(active) = self.guard_value(op, word_index)? {
+                if !active {
+                    self.stats.annulled_ops += 1;
+                    word_issued_ops += 1;
+                    if self.sink.enabled() {
+                        self.sink.emit(TraceEvent::Annul {
+                            cycle: self.cycle,
+                            word: word_index as u32,
+                            cluster: op.cluster,
+                            slot: op.slot,
+                        });
+                    }
+                    continue;
+                }
+            }
+            if let Some(class) = op.fu_class() {
+                self.stats.record_op(class, op.cluster as usize);
+                word_issued_ops += 1;
+                if self.word_cluster_ops[op.cluster as usize] == 0 {
+                    self.word_touched.push(op.cluster);
+                }
+                self.word_cluster_ops[op.cluster as usize] += 1;
+                if self.sink.enabled() {
+                    self.sink.emit(TraceEvent::Issue {
+                        cycle: self.cycle,
+                        word: word_index as u32,
+                        cluster: op.cluster,
+                        slot: op.slot,
+                        class,
+                    });
+                }
+            }
+            self.execute_op(op, word_index, scratch, &mut branch, &mut halt)?;
+        }
+
+        // Phase 2: register/predicate results enter the bypass network.
+        // The interpretive path schedules through the ordered map, as the
+        // original interpreter did, so it stays an honest baseline for
+        // the ring-buffered fast path.
+        for &(c, r, v, lat) in &scratch.reg_writes {
+            self.schedule_reg_interp(c, r, v, lat)?;
+        }
+        for &(c, p, v, lat) in &scratch.pred_writes {
+            self.schedule_pred_interp(c, p, v, lat)?;
+        }
+
+        // End of cycle: stores and buffer swaps become visible.
+        for &(c, b, addr, v) in &scratch.stores {
+            let mem = &mut self.mems[c as usize][b as usize];
+            if !mem.write(addr, v) {
+                return Err(SimError::MemOutOfRange {
+                    cycle: self.cycle,
+                    cluster: c,
+                    bank: b,
+                    addr,
+                    words: mem.words(),
+                });
+            }
+        }
+        for &(c, b) in &scratch.swaps {
+            self.mems[c as usize][b as usize].swap();
+        }
+        Ok((branch, halt, word_issued_ops))
     }
 
     /// Reads the guard predicate, or `None` when unguarded.
@@ -317,18 +328,20 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn execute_op(
         &mut self,
         op: &Operation,
         word: usize,
-        stores: &mut Vec<(ClusterId, u8, u32, i16)>,
-        swaps: &mut Vec<(ClusterId, u8)>,
-        reg_writes: &mut Vec<(ClusterId, u16, i16, u32)>,
-        pred_writes: &mut Vec<(ClusterId, u8, bool, u32)>,
+        scratch: &mut WordScratch,
         branch: &mut Option<usize>,
         halt: &mut bool,
     ) -> Result<(), SimError> {
+        let WordScratch {
+            stores,
+            swaps,
+            reg_writes,
+            pred_writes,
+        } = scratch;
         let c = op.cluster;
         let latency = LatencyModel::new(self.machine).latency(&op.kind);
         match &op.kind {

@@ -7,7 +7,7 @@
 //!
 //! * `fetch` — the pre-decoded fast path ([`Simulator::step`]);
 //! * `interp` — the legacy interpretive path ([`Simulator::step_interp`]),
-//!   kept verbatim as the reference semantics;
+//!   kept as the reference semantics;
 //! * `commit` — the pending-commit ring, write-port conflict checks and
 //!   bypass-network scheduling;
 //! * `datapath` — indexed operand reads, effective addressing and the
@@ -84,10 +84,10 @@ enum Commit {
     Pred(u32, bool),
 }
 
-/// Reusable per-step buffers of the fast path: what one word produces,
-/// held until the end of its cycle. [`Simulator::step`] takes them out
-/// of the simulator for the word and puts them back cleared, so a step
-/// allocates nothing in steady state.
+/// Reusable per-step buffers: what one word produces, held until the
+/// end of its cycle. [`Simulator::step`] and [`Simulator::step_interp`]
+/// both take them out of the simulator for the word and put them back
+/// cleared, so neither path allocates per step in steady state.
 #[derive(Debug, Default)]
 struct WordScratch {
     /// Stores, as `(cluster, bank, addr, value)`.
@@ -238,7 +238,16 @@ pub struct Simulator<
     /// Clusters with a non-zero entry in `word_cluster_ops`, so the
     /// per-word drain touches only busy clusters.
     word_touched: Vec<ClusterId>,
-    /// The fast path's per-step buffers.
+    /// Buckets per cluster in `util_hist`: a cluster commits at most
+    /// its slots plus the control slot in one word.
+    hist_bins: usize,
+    /// Per-cluster issue-occupancy histogram, flat:
+    /// `util_hist[c * hist_bins + k]` counts the words in which cluster
+    /// `c` committed `k > 0` operations. Folded into
+    /// `RunStats::util_histogram` by [`Simulator::stats`], so the step
+    /// loop only bumps a counter and a checkpoint copies it whole.
+    util_hist: Vec<u64>,
+    /// The per-step buffers both step paths use.
     scratch: WordScratch,
     /// Fast-path per-class op counters, indexed by `FuClass` discriminant;
     /// folded into `RunStats::ops_by_class` by [`Simulator::stats`] so
@@ -375,6 +384,7 @@ impl<'a, S: TraceSink, F: FaultModel, M: Recorder> Simulator<'a, S, F, M> {
         let clusters = machine.clusters as usize;
         let nregs = machine.cluster.registers as usize;
         let npreds = machine.cluster.pred_regs as usize;
+        let hist_bins = machine.cluster.slot_count() as usize + 2;
         let mut icache = InstructionCache::new(machine.icache_words, machine.icache_refill_cycles);
         icache.warm(program.len());
         Simulator {
@@ -415,6 +425,8 @@ impl<'a, S: TraceSink, F: FaultModel, M: Recorder> Simulator<'a, S, F, M> {
             window: MetricsWindow::default(),
             word_cluster_ops: vec![0; clusters],
             word_touched: Vec::with_capacity(clusters),
+            hist_bins,
+            util_hist: vec![0; clusters * hist_bins],
             scratch: WordScratch::default(),
             fast_class_ops: [0; 6],
         }
@@ -634,6 +646,7 @@ impl<'a, S: TraceSink, F: FaultModel, M: Recorder> Simulator<'a, S, F, M> {
                 *stats.ops_by_class.entry(class).or_insert(0) += n;
             }
         }
+        stats.add_util_histogram(&self.util_hist, self.hist_bins);
         stats.finalize();
         stats
     }

@@ -51,6 +51,7 @@ pub struct Checkpoint {
     halted: bool,
     stats: RunStats,
     fast_class_ops: [u64; 6],
+    util_hist: Vec<u64>,
 }
 
 impl Checkpoint {
@@ -87,6 +88,7 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
             halted: self.halted,
             stats: self.stats.clone(),
             fast_class_ops: self.fast_class_ops,
+            util_hist: self.util_hist.clone(),
         }
     }
 
@@ -114,6 +116,7 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
         cp.halted = self.halted;
         cp.stats.clone_from(&self.stats);
         cp.fast_class_ops = self.fast_class_ops;
+        cp.util_hist.clone_from(&self.util_hist);
     }
 
     /// Rolls the simulator back to a [`Checkpoint`] taken earlier on
@@ -155,6 +158,7 @@ impl<'a, S: TraceSink, F: FaultModel, M: vsp_metrics::Recorder> Simulator<'a, S,
         self.halted = cp.halted;
         self.stats.clone_from(&cp.stats);
         self.fast_class_ops = cp.fast_class_ops;
+        self.util_hist.clone_from(&cp.util_hist);
         for n in &mut self.word_cluster_ops {
             *n = 0;
         }

@@ -155,17 +155,29 @@ impl RunStats {
         self.ops_by_cluster[cluster] += 1;
     }
 
-    /// Records that a cluster committed `ops > 0` operations in one
-    /// issued word (the zero bucket is derived in [`RunStats::finalize`]).
-    pub(crate) fn record_cluster_word(&mut self, cluster: usize, ops: usize) {
-        if self.util_histogram.len() <= cluster {
-            self.util_histogram.resize(cluster + 1, Vec::new());
+    /// Adds a flat per-cluster occupancy histogram into
+    /// [`RunStats::util_histogram`]: `flat[c * bins + k]` counts the
+    /// issued words in which cluster `c` committed exactly `k > 0`
+    /// operations (bucket 0 is skipped; [`RunStats::finalize`] derives
+    /// it). The rows take the shape word-by-word recording gave them:
+    /// they reach the last cluster that recorded a word, and each ends
+    /// at its last nonzero bucket.
+    pub(crate) fn add_util_histogram(&mut self, flat: &[u64], bins: usize) {
+        for (c, row) in flat.chunks(bins).enumerate() {
+            for (ops, &n) in row.iter().enumerate().skip(1) {
+                if n == 0 {
+                    continue;
+                }
+                if self.util_histogram.len() <= c {
+                    self.util_histogram.resize(c + 1, Vec::new());
+                }
+                let hist = &mut self.util_histogram[c];
+                if hist.len() <= ops {
+                    hist.resize(ops + 1, 0);
+                }
+                hist[ops] += n;
+            }
         }
-        let hist = &mut self.util_histogram[cluster];
-        if hist.len() <= ops {
-            hist.resize(ops + 1, 0);
-        }
-        hist[ops] += 1;
     }
 
     /// Derives histogram zero-buckets from the word count. Idempotent;
@@ -299,7 +311,7 @@ mod tests {
             ..RunStats::default()
         };
         source.record_op(FuClass::Mul, 2);
-        source.record_cluster_word(2, 1);
+        source.add_util_histogram(&[0, 0, 0, 0, 0, 1], 2);
         let mut target = RunStats {
             ops_by_cluster: vec![7; 8],
             util_histogram: vec![vec![1; 4]; 8],
@@ -318,13 +330,11 @@ mod tests {
             words: 10,
             ..RunStats::default()
         };
-        // Cluster 0 issued 2 ops in three words and 1 op in four words.
-        for _ in 0..3 {
-            s.record_cluster_word(0, 2);
-        }
-        for _ in 0..4 {
-            s.record_cluster_word(0, 1);
-        }
+        // Cluster 0 issued 2 ops in three words and 1 op in four words;
+        // cluster 1 never issued, and bucket 3 is past cluster 0's
+        // busiest word.
+        s.add_util_histogram(&[0, 4, 3, 0, 0, 0, 0, 0], 4);
+        assert_eq!(s.util_histogram, vec![vec![0, 4, 3]]);
         s.finalize();
         assert_eq!(s.util_histogram[0], vec![3, 4, 3]);
         // Idempotent.
