@@ -9,14 +9,17 @@
 //! loops that search longest, among them the costliest of those
 //! compiles, the color converter's loop on I4C8S4: how many II
 //! attempts, placements, evictions and forced placements each makes,
-//! and an FNV-1a checksum of every such event's fields in order.
+//! and an FNV-1a checksum of every such event's fields in order. A
+//! third sums the same log over every distinct modulo compile behind
+//! Table 1, so a faster scheduler shows that it searches exactly as
+//! much as before.
 //!
 //! A deliberate scheduler change that moves a schedule regenerates the
 //! golden from the rendering the failure message prints.
 
 use vsp_core::models;
 use vsp_kernels::variants::{distinct_table1_recipes, table1_recipes, Recipe};
-use vsp_sched::{compile, compile_with, CompileOptions, ScheduleArtifact};
+use vsp_sched::{compile, compile_with, CompileOptions, ScheduleArtifact, SchedulerChoice};
 use vsp_trace::{SchedOrdering, TraceEvent, TraceSink};
 
 /// 64-bit FNV-1a over a byte stream.
@@ -210,6 +213,46 @@ fn pipelined_loops_decision_log_is_pinned() {
         assert_eq!(result.summary().ii(), Some(ii), "{kernel} {strategy}");
         assert_eq!(log, decisions, "{} {kernel} {strategy}", machine.name);
     }
+}
+
+/// The modulo scheduler's whole workload behind Table 1: the decision
+/// logs of every distinct modulo compile `distinct_table1_recipes`
+/// performs on the seven paper models, in first-use order, summed into
+/// one count per event kind and one FNV-1a over every event. A change
+/// that makes compiles cheaper while this holds saves on bookkeeping,
+/// not on search.
+#[test]
+fn table1_modulo_work_is_pinned() {
+    let mut log = ModuloDecisions::default();
+    let mut compiles = 0;
+    for r in distinct_table1_recipes(&models::all_models()) {
+        if !matches!(r.strategy.scheduler, SchedulerChoice::Modulo { .. }) {
+            continue;
+        }
+        let result = compile_with(
+            &r.kernel,
+            &r.machine,
+            &r.strategy,
+            &mut CompileOptions {
+                sink: Some(&mut log),
+                ..CompileOptions::default()
+            },
+        )
+        .unwrap_or_else(|e| panic!("{} / {}: {e}", r.machine.name, r.strategy.name));
+        assert!(matches!(result.schedule, ScheduleArtifact::Modulo(_)));
+        compiles += 1;
+    }
+    assert_eq!(compiles, 84, "distinct modulo compiles");
+    assert_eq!(
+        log,
+        ModuloDecisions {
+            attempts: 291,
+            places: 158_382,
+            evictions: 130_435,
+            forces: 465,
+            fnv: 0x75ef_aea2_94d7_021e,
+        }
+    );
 }
 
 /// Counts the list scheduler's decision events and checksums them in

@@ -70,67 +70,105 @@ impl std::error::Error for ReserveError {}
 
 /// Resource usage of a single cycle.
 ///
-/// Every constraint is either an occupancy flag on a fixed (cluster,
+/// Every constraint is either an occupancy bit on a fixed (cluster,
 /// slot) or a per-cycle count against a capacity, so any subset of a set
 /// of operations that reserved together reserves again, in any order,
 /// and [`CycleReservation::release`] undoes one reservation exactly:
 /// the cycle is left as if the others alone had reserved. The modulo
 /// scheduler evicts from its rows that way.
+///
+/// Occupancy is one bit mask per cluster and each class's capable slots
+/// are one mask, so finding the free slots of a class is one mask
+/// operation ([`CycleReservation::free_slots`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CycleReservation {
     clusters: u32,
     slots_per_cluster: u32,
     banks_per_cluster: u32,
-    /// Occupancy per (cluster, slot); the control slot of cluster 0 is the
-    /// extra entry at index `slots_per_cluster`.
-    slot_used: Vec<bool>,
-    xfer_used: Vec<u32>,
-    /// Accesses per (cluster, bank), `banks_per_cluster` entries per
-    /// cluster.
-    bank_used: Vec<u32>,
+    /// The datapath slots able to issue each [`FuClass`] (indexed by
+    /// its discriminant), one bit per slot.
+    capable: [u32; FuClass::ALL.len()],
+    /// One buffer for the whole cycle: an occupancy mask per cluster
+    /// (bit `s` is slot `s`; bit `slots_per_cluster` is the control
+    /// slot, reachable only on cluster 0), then the crossbar ports in
+    /// use per cluster, then the accesses per (cluster, bank),
+    /// `banks_per_cluster` entries per cluster.
+    used: Vec<u32>,
 }
 
 impl CycleReservation {
+    /// Datapath slots a cluster may have: its occupancy mask holds them
+    /// and the control slot. [`crate::validate_config`] rejects a
+    /// machine with more.
+    pub const MAX_SLOTS: u32 = u32::BITS - 1;
+
     /// Creates an empty reservation for one cycle on `machine`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cluster has more than [`CycleReservation::MAX_SLOTS`]
+    /// issue slots.
     pub fn new(machine: &MachineConfig) -> Self {
         let clusters = machine.clusters;
         let slots = machine.cluster.slot_count();
+        assert!(
+            slots <= Self::MAX_SLOTS,
+            "{slots} issue slots per cluster exceed the {} a reservation holds",
+            Self::MAX_SLOTS
+        );
         let banks = machine.cluster.banks.len() as u32;
+        let mut capable = [0; FuClass::ALL.len()];
+        for (slot, caps) in machine.cluster.slots.iter().enumerate() {
+            for class in caps.iter() {
+                capable[class as usize] |= 1 << slot;
+            }
+        }
         CycleReservation {
             clusters,
             slots_per_cluster: slots,
             banks_per_cluster: banks,
-            // +1 row per cluster for the control slot (only cluster 0's is
-            // reachable, but uniform indexing keeps the math simple).
-            slot_used: vec![false; (clusters * (slots + 1)) as usize],
-            xfer_used: vec![0; clusters as usize],
-            bank_used: vec![0; (clusters * banks) as usize],
+            capable,
+            used: vec![0; (clusters * (2 + banks)) as usize],
         }
     }
 
-    fn slot_index(&self, cluster: ClusterId, slot: SlotId) -> usize {
-        cluster as usize * (self.slots_per_cluster as usize + 1) + slot as usize
+    /// Index of `cluster`'s crossbar-port count in `used`.
+    fn xfer_index(&self, cluster: ClusterId) -> usize {
+        assert!(
+            u32::from(cluster) < self.clusters,
+            "cluster {cluster} does not exist"
+        );
+        self.clusters as usize + cluster as usize
+    }
+
+    /// Index of the access count of `cluster`'s bank `bank` in `used`.
+    fn bank_index(&self, cluster: ClusterId, bank: usize) -> usize {
+        2 * self.clusters as usize + cluster as usize * self.banks_per_cluster as usize + bank
     }
 
     /// Whether a slot is already occupied.
     pub fn slot_busy(&self, cluster: ClusterId, slot: SlotId) -> bool {
-        self.slot_used[self.slot_index(cluster, slot)]
+        self.used[..self.clusters as usize][cluster as usize]
+            .checked_shr(u32::from(slot))
+            .is_some_and(|m| m & 1 != 0)
+    }
+
+    /// The free datapath slots of `cluster` able to issue `class` this
+    /// cycle, one bit per slot (bit `s` is slot `s`; the control slot is
+    /// never included). Empty for a cluster outside the machine, where
+    /// every reservation fails.
+    pub fn free_slots(&self, cluster: ClusterId, class: FuClass) -> u32 {
+        if u32::from(cluster) >= self.clusters {
+            return 0;
+        }
+        self.capable[class as usize] & !self.used[cluster as usize]
     }
 
     /// Whether `cluster` has a free datapath slot able to issue `class`
     /// this cycle (the control slot is not counted). `false` for a
     /// cluster outside the machine, where every reservation fails.
-    pub fn capable_slot_free(
-        &self,
-        machine: &MachineConfig,
-        cluster: ClusterId,
-        class: FuClass,
-    ) -> bool {
-        u32::from(cluster) < self.clusters
-            && machine
-                .cluster
-                .slots_for(class)
-                .any(|slot| !self.slot_busy(cluster, slot))
+    pub fn capable_slot_free(&self, cluster: ClusterId, class: FuClass) -> bool {
+        self.free_slots(cluster, class) != 0
     }
 
     /// Crossbar ports still free on a cluster.
@@ -138,7 +176,7 @@ impl CycleReservation {
         machine
             .cluster
             .xbar_ports
-            .saturating_sub(self.xfer_used[cluster as usize])
+            .saturating_sub(self.used[self.xfer_index(cluster)])
     }
 
     /// Attempts to reserve the resources for `op` this cycle.
@@ -171,13 +209,15 @@ impl CycleReservation {
             if u32::from(slot) >= self.slots_per_cluster {
                 return Err(ReserveError::NoSuchSlot(cluster, slot));
             }
-            let caps = machine.cluster.slots[slot as usize];
-            if !caps.contains(class) {
+            if self.capable[class as usize] & (1 << slot) == 0 {
                 return Err(ReserveError::Incapable(cluster, slot, class));
             }
         }
 
-        if self.slot_busy(cluster, slot) {
+        // The slot is a datapath slot or the control slot, so its bit
+        // lies within the mask.
+        let bit = 1u32 << slot;
+        if self.used[cluster as usize] & bit != 0 {
             return Err(ReserveError::SlotBusy(cluster, slot));
         }
 
@@ -193,9 +233,11 @@ impl CycleReservation {
                 if *from != cluster && self.xfer_free(machine, *from) == 0 {
                     return Err(ReserveError::XbarPortsExhausted(*from));
                 }
-                self.xfer_used[cluster as usize] += 1;
+                let to = self.xfer_index(cluster);
+                self.used[to] += 1;
                 if *from != cluster {
-                    self.xfer_used[*from as usize] += 1;
+                    let from = self.xfer_index(*from);
+                    self.used[from] += 1;
                 }
             }
             OpKind::Load { bank, .. }
@@ -208,18 +250,16 @@ impl CycleReservation {
                 if machine.cluster.bank_binding == BankBinding::PerSlot && bank.0 != slot {
                     return Err(ReserveError::BankSlotMismatch(cluster, slot, bank.0));
                 }
-                let used =
-                    &mut self.bank_used[cluster as usize * self.banks_per_cluster as usize + b];
-                if *used >= machine.cluster.banks[b].ports {
+                let at = self.bank_index(cluster, b);
+                if self.used[at] >= machine.cluster.banks[b].ports {
                     return Err(ReserveError::BankBusy(cluster, bank.0));
                 }
-                *used += 1;
+                self.used[at] += 1;
             }
             _ => {}
         }
 
-        let idx = self.slot_index(cluster, slot);
-        self.slot_used[idx] = true;
+        self.used[cluster as usize] |= bit;
         Ok(())
     }
 
@@ -236,22 +276,27 @@ impl CycleReservation {
         let cluster = op.cluster;
         match &op.kind {
             OpKind::Xfer { from, .. } => {
-                self.xfer_used[cluster as usize] -= 1;
+                let to = self.xfer_index(cluster);
+                self.used[to] -= 1;
                 if *from != cluster {
-                    self.xfer_used[*from as usize] -= 1;
+                    let from = self.xfer_index(*from);
+                    self.used[from] -= 1;
                 }
             }
             OpKind::Load { bank, .. }
             | OpKind::Store { bank, .. }
             | OpKind::MemCtl { bank, .. } => {
-                self.bank_used
-                    [cluster as usize * self.banks_per_cluster as usize + bank.index()] -= 1;
+                let at = self.bank_index(cluster, bank.index());
+                self.used[at] -= 1;
             }
             _ => {}
         }
-        let idx = self.slot_index(cluster, op.slot);
-        debug_assert!(self.slot_used[idx], "released an unreserved slot");
-        self.slot_used[idx] = false;
+        let bit = 1u32 << op.slot;
+        debug_assert!(
+            self.used[cluster as usize] & bit != 0,
+            "released an unreserved slot"
+        );
+        self.used[cluster as usize] &= !bit;
     }
 }
 
@@ -611,6 +656,64 @@ mod tests {
             }
             assert!(sets > menu.len(), "{}: {sets} sets", m.name);
         }
+    }
+
+    /// The free-slot masks list exactly the capable slots `slots_for`
+    /// yields that are not yet busy, in the same ascending order, on
+    /// every paper model; a cluster outside the machine has none.
+    #[test]
+    fn free_slots_are_the_idle_capable_slots() {
+        let mut machines = models::all_models();
+        machines.push(models::i4c8s4_dualport());
+        for m in &machines {
+            let mut r = CycleReservation::new(m);
+            r.try_reserve(m, &add(1, 0)).unwrap();
+            r.try_reserve(m, &br(0, m.cluster.slot_count() as SlotId))
+                .unwrap();
+            for class in FuClass::ALL {
+                for cluster in [0, 1] {
+                    let mask = r.free_slots(cluster, class);
+                    let bits: Vec<SlotId> = (0..32)
+                        .filter(|&s| mask & (1 << s) != 0)
+                        .map(|s| s as SlotId)
+                        .collect();
+                    let expected: Vec<SlotId> = m
+                        .cluster
+                        .slots_for(class)
+                        .filter(|&s| !r.slot_busy(cluster, s))
+                        .collect();
+                    assert_eq!(bits, expected, "{} c{cluster} {class}", m.name);
+                    assert_eq!(r.capable_slot_free(cluster, class), !expected.is_empty());
+                }
+                let outside = m.clusters as ClusterId;
+                assert_eq!(r.free_slots(outside, class), 0);
+                assert!(!r.capable_slot_free(outside, class));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "issue slots per cluster exceed")]
+    fn a_cluster_wider_than_the_mask_is_refused() {
+        let mut m = models::i4c8s4();
+        m.cluster.slots = vec![m.cluster.slots[0]; CycleReservation::MAX_SLOTS as usize + 1];
+        let _ = CycleReservation::new(&m);
+    }
+
+    #[test]
+    fn the_widest_cluster_reserves_every_slot_and_the_control_slot() {
+        let mut m = models::i4c8s4();
+        m.cluster.slots = vec![m.cluster.slots[0]; CycleReservation::MAX_SLOTS as usize];
+        let mut r = CycleReservation::new(&m);
+        for slot in 0..CycleReservation::MAX_SLOTS as SlotId {
+            r.try_reserve(&m, &add(0, slot)).unwrap();
+        }
+        assert_eq!(r.free_slots(0, FuClass::Alu), 0);
+        let control = CycleReservation::MAX_SLOTS as SlotId;
+        r.try_reserve(&m, &br(0, control)).unwrap();
+        assert!(r.slot_busy(0, control));
+        r.release(&br(0, control));
+        assert!(!r.slot_busy(0, control));
     }
 
     #[test]

@@ -237,6 +237,10 @@ pub enum ConfigError {
     NoClusters,
     /// A cluster with no issue slots.
     NoSlots,
+    /// A cluster with more issue slots than a [`CycleReservation`]'s
+    /// occupancy mask holds next to the control slot
+    /// ([`CycleReservation::MAX_SLOTS`]).
+    TooManySlots(u32),
     /// No slot can issue the given class (every runnable machine needs
     /// at least ALU and memory capability).
     MissingCapability(vsp_isa::FuClass),
@@ -280,6 +284,7 @@ impl ConfigError {
         match self {
             ConfigError::NoClusters => "no_clusters",
             ConfigError::NoSlots => "no_slots",
+            ConfigError::TooManySlots(_) => "too_many_slots",
             ConfigError::MissingCapability(_) => "missing_capability",
             ConfigError::NoRegisters => "no_registers",
             ConfigError::NoPredRegs => "no_pred_regs",
@@ -300,6 +305,11 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::NoClusters => write!(f, "machine has no clusters"),
             ConfigError::NoSlots => write!(f, "cluster has no issue slots"),
+            ConfigError::TooManySlots(n) => write!(
+                f,
+                "{n} issue slots per cluster (at most {} fit beside the control slot)",
+                CycleReservation::MAX_SLOTS
+            ),
             ConfigError::MissingCapability(c) => {
                 write!(f, "no issue slot can launch {c} operations")
             }
@@ -357,6 +367,9 @@ pub fn validate_config(machine: &MachineConfig) -> Result<(), Vec<ConfigError>> 
     if cluster.slots.is_empty() {
         errors.push(ConfigError::NoSlots);
     } else {
+        if cluster.slot_count() > CycleReservation::MAX_SLOTS {
+            errors.push(ConfigError::TooManySlots(cluster.slot_count()));
+        }
         for class in [FuClass::Alu, FuClass::Mem] {
             if cluster.capacity(class) == 0 {
                 errors.push(ConfigError::MissingCapability(class));
@@ -651,6 +664,22 @@ mod tests {
         m.cluster.slots.clear();
         let errs = validate_config(&m).unwrap_err();
         assert!(has(&errs, &ConfigError::NoSlots));
+    }
+
+    #[test]
+    fn config_rejects_clusters_wider_than_a_reservation_mask() {
+        let mut m = models::i4c8s4();
+        let widest = CycleReservation::MAX_SLOTS as usize;
+        m.cluster.slots.resize(widest, m.cluster.slots[0]);
+        assert!(validate_config(&m).is_ok());
+        m.cluster.slots.push(m.cluster.slots[0]);
+        let errs = validate_config(&m).unwrap_err();
+        assert_eq!(errs, vec![ConfigError::TooManySlots(32)]);
+        assert_eq!(errs[0].label(), "too_many_slots");
+        assert_eq!(
+            errs[0].to_string(),
+            "32 issue slots per cluster (at most 31 fit beside the control slot)"
+        );
     }
 
     #[test]

@@ -88,12 +88,17 @@ pub enum IndexExpr {
 impl IndexExpr {
     /// Variables read by the index computation.
     pub fn vars(self) -> impl Iterator<Item = VarId> {
-        let (a, b) = match self {
+        let (a, b) = self.var_pair();
+        a.into_iter().chain(b)
+    }
+
+    /// The (at most two) variables of [`IndexExpr::vars`].
+    fn var_pair(self) -> (Option<VarId>, Option<VarId>) {
+        match self {
             IndexExpr::Const(_) => (None, None),
             IndexExpr::Var(v) | IndexExpr::Offset(v, _) => (Some(v), None),
             IndexExpr::Sum(v, w) => (Some(v), Some(w)),
-        };
-        a.into_iter().chain(b)
+        }
     }
 
     /// Whether lowering needs an address addition on simple-addressing
@@ -138,27 +143,23 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Variables read by this expression.
-    pub fn uses(&self) -> Vec<VarId> {
-        let mut out = Vec::new();
-        let mut push = |r: &Rvalue| {
-            if let Rvalue::Var(v) = r {
-                out.push(*v);
-            }
+    /// Variables read by this expression, in operand order (at most
+    /// two, yielded inline).
+    pub fn uses(&self) -> impl Iterator<Item = VarId> {
+        let var = |r: Rvalue| match r {
+            Rvalue::Var(v) => Some(v),
+            Rvalue::Const(_) => None,
         };
-        match self {
+        let (a, b) = match *self {
             Expr::Bin(_, a, b)
             | Expr::Shift(_, a, b)
             | Expr::MulWide(a, b)
             | Expr::Mul8(_, a, b)
-            | Expr::Cmp(_, a, b) => {
-                push(a);
-                push(b);
-            }
-            Expr::Un(_, a) => push(a),
-            Expr::Load(_, idx) => out.extend(idx.vars()),
-        }
-        out
+            | Expr::Cmp(_, a, b) => (var(a), var(b)),
+            Expr::Un(_, a) => (var(a), None),
+            Expr::Load(_, idx) => idx.var_pair(),
+        };
+        a.into_iter().chain(b)
     }
 
     /// Whether the expression has no side effects and depends only on its
@@ -243,13 +244,7 @@ impl Stmt {
     /// and ifs aggregate their bodies via [`Stmt::uses_recursive`]).
     pub fn uses(&self) -> Vec<VarId> {
         match self {
-            Stmt::Assign { expr, guard, .. } => {
-                let mut u = expr.uses();
-                if let Some(g) = guard {
-                    u.push(g.var);
-                }
-                u
-            }
+            Stmt::Assign { expr, guard, .. } => expr.uses().chain(guard.map(|g| g.var)).collect(),
             Stmt::Store {
                 index,
                 value,
@@ -424,9 +419,9 @@ mod tests {
     #[test]
     fn expr_uses() {
         let e = Expr::Bin(AluBinOp::Add, Rvalue::Var(VarId(1)), Rvalue::Const(3));
-        assert_eq!(e.uses(), vec![VarId(1)]);
+        assert_eq!(e.uses().collect::<Vec<_>>(), vec![VarId(1)]);
         let e = Expr::Load(ArrayId(0), IndexExpr::Sum(VarId(2), VarId(3)));
-        assert_eq!(e.uses(), vec![VarId(2), VarId(3)]);
+        assert_eq!(e.uses().collect::<Vec<_>>(), vec![VarId(2), VarId(3)]);
         assert!(!e.is_pure_scalar());
     }
 

@@ -94,10 +94,7 @@ fn hoist_from(l: &mut crate::kernel::Loop) -> Vec<Stmt> {
             if *dst == l.var || live_in.contains(dst) || write_counts(*dst) != 1 {
                 continue;
             }
-            let invariant = expr
-                .uses()
-                .iter()
-                .all(|u| *u != l.var && !written.contains(u));
+            let invariant = expr.uses().all(|u| u != l.var && !written.contains(&u));
             if invariant {
                 candidate = Some(idx);
                 break;

@@ -37,19 +37,26 @@ impl Instruction {
         Instruction::default()
     }
 
-    /// Creates an instruction word from a list of operations.
+    /// Creates an instruction word from a list of operations. The word
+    /// keeps the list, its no-ops dropped in place.
     ///
     /// # Panics
     ///
     /// Panics if two operations occupy the same (cluster, slot) pair.
-    pub fn from_ops(ops: Vec<Operation>) -> Self {
-        let mut w = Instruction {
-            ops: Vec::with_capacity(ops.len()),
-        };
-        for op in ops {
-            w.push(op);
+    pub fn from_ops(mut ops: Vec<Operation>) -> Self {
+        let issues = |o: &Operation| !matches!(o.kind, OpKind::Nop);
+        for (k, op) in ops.iter().enumerate().filter(|(_, o)| issues(o)) {
+            assert!(
+                !ops[..k]
+                    .iter()
+                    .any(|o| issues(o) && (o.cluster, o.slot) == (op.cluster, op.slot)),
+                "slot c{}.s{} already occupied",
+                op.cluster,
+                op.slot
+            );
         }
-        w
+        ops.retain(issues);
+        Instruction { ops }
     }
 
     /// Adds an operation to the word.

@@ -161,16 +161,15 @@ impl<'a> Lowering<'a> {
         layout: &'a ArrayLayout,
     ) -> Self {
         let _ = kernel;
+        // A variable may be both guard- and arith-used (e.g. combined
+        // predicates built with AND), so the two sets are independent.
         let mut guard_used = HashSet::new();
         let mut arith_used = HashSet::new();
         for s in body {
             match s {
                 Stmt::Assign { expr, guard, .. } => {
                     arith_used.extend(expr.uses());
-                    if let Some(g) = guard {
-                        guard_used.insert(g.var);
-                        arith_used.remove(&g.var);
-                    }
+                    guard_used.extend(guard.map(|g| g.var));
                 }
                 Stmt::Store {
                     index,
@@ -182,24 +181,7 @@ impl<'a> Lowering<'a> {
                     if let Rvalue::Var(v) = value {
                         arith_used.insert(*v);
                     }
-                    if let Some(g) = guard {
-                        guard_used.insert(g.var);
-                    }
-                }
-                _ => {}
-            }
-        }
-        // A variable may be both guard- and arith-used (e.g. combined
-        // predicates built with AND); recompute arith_used fully.
-        arith_used.clear();
-        for s in body {
-            match s {
-                Stmt::Assign { expr, .. } => arith_used.extend(expr.uses()),
-                Stmt::Store { index, value, .. } => {
-                    arith_used.extend(index.vars());
-                    if let Rvalue::Var(v) = value {
-                        arith_used.insert(*v);
-                    }
+                    guard_used.extend(guard.map(|g| g.var));
                 }
                 _ => {}
             }

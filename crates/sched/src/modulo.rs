@@ -25,18 +25,19 @@
 //! EXPERIMENTS.md lists every Table 1 case).
 //!
 //! The bookkeeping is incremental: one [`CycleReservation`] per row lives
-//! for the whole attempt and is probed in place (a failed probe leaves it
-//! unchanged, and a row with no free capable slot is rejected before any
-//! candidate is built), an eviction releases the operation from its row
+//! for the whole attempt and is probed in place, only on the free capable
+//! slots its occupancy mask names (a failed probe leaves it unchanged,
+//! and a row with none is rejected before any candidate is built), an
+//! eviction releases the operation from its row
 //! ([`CycleReservation::release`], the exact inverse of its reservation),
-//! dependence edges come from [`VopDeps`]' per-operation index, and the
-//! unplaced operations wait in a priority-ordered set.
+//! and dependence edges come from [`VopDeps`]' per-operation index. The
+//! three placement orders do not depend on II, so each is ranked once
+//! per call; the unplaced operations wait in a bit set over their ranks,
+//! whose lowest set bit is the most urgent.
 
 use crate::mii::{min_ii_from, res_mii};
 use crate::vop::{LoweredBody, VopDeps};
-use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::BTreeSet;
 use vsp_core::{CycleReservation, MachineConfig};
 use vsp_isa::{ClusterId, SlotId};
 use vsp_trace::{NullSink, SchedOrdering, TraceEvent, TraceSink};
@@ -105,25 +106,18 @@ pub fn modulo_schedule_traced(
     sink: &mut dyn TraceSink,
 ) -> Option<ModuloSchedule> {
     let mii = min_ii_from(deps, res_mii(machine, body, clusters_used)?);
+    // The placement orders do not depend on II: rank each once.
     let heights = deps.heights();
+    let rankings = Ordering::ALL.map(|ordering| Ranking::new(ordering, body, &heights));
     for ii in mii..=mii + ii_search {
-        for ordering in Ordering::ALL {
+        for (ordering, ranking) in Ordering::ALL.into_iter().zip(&rankings) {
             if sink.enabled() {
                 sink.emit(TraceEvent::IiAttempt {
                     ii,
                     ordering: ordering.into(),
                 });
             }
-            let attempt = try_ii(
-                machine,
-                body,
-                deps,
-                &heights,
-                clusters_used,
-                ii,
-                ordering,
-                sink,
-            );
+            let attempt = try_ii(machine, body, deps, ranking, clusters_used, ii, sink);
             if let Some(s) = attempt {
                 if sink.enabled() {
                     sink.emit(TraceEvent::ScheduleDone {
@@ -171,15 +165,97 @@ impl From<Ordering> for SchedOrdering {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// One placement order over a body's operations: `ops[r]` is the
+/// operation of rank `r` (rank 0 is the most urgent) and `rank[i]` the
+/// rank of operation `i`.
+struct Ranking {
+    ops: Vec<usize>,
+    rank: Vec<u32>,
+}
+
+impl Ranking {
+    fn new(ordering: Ordering, body: &LoweredBody, heights: &[u32]) -> Ranking {
+        let scarcity = |i: usize| match body.ops[i].class() {
+            vsp_isa::FuClass::Mem => 0,
+            vsp_isa::FuClass::Mul | vsp_isa::FuClass::Shift => 1,
+            _ => 2,
+        };
+        // Every priority ends in the op index, so priorities are unique.
+        let priority = |i: usize| -> (u32, Reverse<u32>, usize) {
+            match ordering {
+                Ordering::Height => (0, Reverse(heights[i]), i),
+                Ordering::ScarceFirst => (scarcity(i), Reverse(heights[i]), i),
+                Ordering::Program => (0, Reverse(0), i),
+            }
+        };
+        let mut ops: Vec<usize> = (0..body.ops.len()).collect();
+        ops.sort_unstable_by_key(|&i| priority(i));
+        let mut rank = vec![0; ops.len()];
+        for (r, &i) in (0..).zip(&ops) {
+            rank[i] = r;
+        }
+        Ranking { ops, rank }
+    }
+}
+
+/// The unplaced operations of an attempt, as a bit set over their
+/// ranks: [`Worklist::pop_first`] takes the most urgent.
+struct Worklist {
+    words: Vec<u64>,
+    /// Number of ranks in the set.
+    len: usize,
+    /// Every word before this one is empty.
+    first: usize,
+}
+
+impl Worklist {
+    /// The set of every rank below `n`.
+    fn full(n: usize) -> Worklist {
+        let words = (0..n.div_ceil(64))
+            .map(|w| u64::MAX >> (64 - (n - 64 * w).min(64)))
+            .collect();
+        Worklist {
+            words,
+            len: n,
+            first: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn insert(&mut self, rank: u32) {
+        let (word, bit) = (rank as usize / 64, 1u64 << (rank % 64));
+        if self.words[word] & bit == 0 {
+            self.words[word] |= bit;
+            self.len += 1;
+            self.first = self.first.min(word);
+        }
+    }
+
+    /// Removes and returns the lowest rank.
+    fn pop_first(&mut self) -> Option<u32> {
+        while let Some(word) = self.words.get_mut(self.first) {
+            if *word != 0 {
+                let bit = word.trailing_zeros();
+                *word &= *word - 1;
+                self.len -= 1;
+                return Some(self.first as u32 * 64 + bit);
+            }
+            self.first += 1;
+        }
+        None
+    }
+}
+
 fn try_ii(
     machine: &MachineConfig,
     body: &LoweredBody,
     deps: &VopDeps,
-    heights: &[u32],
+    ranking: &Ranking,
     clusters_used: u32,
     ii: u32,
-    ordering: Ordering,
     sink: &mut dyn TraceSink,
 ) -> Option<ModuloSchedule> {
     let n = body.ops.len();
@@ -192,19 +268,6 @@ fn try_ii(
             stages: 0,
         });
     }
-    let scarcity = |i: usize| match body.ops[i].class() {
-        vsp_isa::FuClass::Mem => 0,
-        vsp_isa::FuClass::Mul | vsp_isa::FuClass::Shift => 1,
-        _ => 2,
-    };
-    // Every priority ends in the op index, so priorities are unique.
-    let priority = |i: usize| -> (u32, Reverse<u32>, usize) {
-        match ordering {
-            Ordering::Height => (0, Reverse(heights[i]), i),
-            Ordering::ScarceFirst => (scarcity(i), Reverse(heights[i]), i),
-            Ordering::Program => (0, Reverse(0), i),
-        }
-    };
 
     // Rau-style iterative modulo scheduling with eviction: operations are
     // placed in priority order; when no slot exists in the II-wide window
@@ -220,13 +283,17 @@ fn try_ii(
     // releases the operation from its row.
     let mut mrt: Vec<CycleReservation> = (0..ii).map(|_| CycleReservation::new(machine)).collect();
     // The unplaced operations, most urgent first.
-    let mut worklist: BTreeSet<(u32, Reverse<u32>, usize)> = (0..n).map(priority).collect();
+    let mut worklist = Worklist::full(n);
     let xfer_lat = machine.pipeline.xfer_latency;
     let mut budget = 6 * n + 64;
-    // Scratch for the operations one placement evicts.
+    // Scratch for the operations one placement evicts, and for the
+    // cluster preference of the operation being placed.
     let (mut evictees, mut violated): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
+    let mut votes = vec![0u32; clusters_used as usize];
+    let mut candidates: Vec<ClusterId> = Vec::with_capacity(clusters_used as usize);
 
-    while let Some((_, _, i)) = worklist.pop_first() {
+    while let Some(rank) = worklist.pop_first() {
+        let i = ranking.ops[rank as usize];
         if budget == 0 {
             return None;
         }
@@ -235,7 +302,7 @@ fn try_ii(
 
         // Earliest start from placed predecessors (cross-cluster flow
         // pays the transfer latency; cluster chosen below).
-        let candidates = preferred_clusters(deps, &placements, i, clusters_used);
+        preferred_clusters(deps, &placements, i, &mut votes, &mut candidates);
         let cluster = candidates.first().copied().unwrap_or(0);
         let mut est = 0i64;
         for e in deps.preds(i) {
@@ -256,7 +323,7 @@ fn try_ii(
 
         // Try every cluster × window slot; otherwise force at `est`.
         let mut chosen: Option<(u32, ClusterId, SlotId)> = None;
-        'search: for &c in candidates.iter() {
+        'search: for &c in &candidates {
             for t in est..est + ii {
                 let row = (t % ii) as usize;
                 if let Some(slot) = find_slot(machine, &mut mrt[row], &body.ops[i], c) {
@@ -300,7 +367,7 @@ fn try_ii(
                         });
                     }
                     unplace(j, body, &mut times, &mut placements, &mut row_ops, &mut mrt);
-                    worklist.insert(priority(j));
+                    worklist.insert(ranking.rank[j]);
                 }
                 match find_slot(machine, &mut mrt[row], &body.ops[i], cluster) {
                     Some(slot) => (est, cluster, slot),
@@ -363,7 +430,7 @@ fn try_ii(
                     by: i as u32,
                 });
             }
-            worklist.insert(priority(j));
+            worklist.insert(ranking.rank[j]);
         }
     }
 
@@ -406,35 +473,37 @@ fn unplace(
     true
 }
 
-/// Candidate clusters for an operation, preferring wherever its placed
-/// neighbors already live (minimizing transfers).
+/// Fills `order` with the candidate clusters for operation `i`,
+/// preferring wherever its placed neighbors already live (minimizing
+/// transfers), ties in cluster order. `votes` holds one scratch entry
+/// per cluster in use.
 fn preferred_clusters(
     deps: &VopDeps,
     placements: &[Option<(ClusterId, SlotId)>],
     i: usize,
-    clusters_used: u32,
-) -> Cow<'static, [ClusterId]> {
-    match clusters_used {
-        0 => return Cow::Borrowed(&[]),
-        1 => return Cow::Borrowed(&[0]),
-        _ => {}
+    votes: &mut [u32],
+    order: &mut Vec<ClusterId>,
+) {
+    order.clear();
+    order.extend(0..votes.len() as ClusterId);
+    if votes.len() < 2 {
+        return;
     }
-    let mut votes = vec![0u32; clusters_used as usize];
+    votes.fill(0);
     for e in deps.preds(i).chain(deps.succs(i)) {
         let other = if e.from == i { e.to } else { e.from };
         if let Some((c, _)) = placements[other] {
             votes[c as usize] += 1;
         }
     }
-    let mut order: Vec<ClusterId> = (0..clusters_used as ClusterId).collect();
     order.sort_by_key(|&c| Reverse(votes[c as usize]));
-    Cow::Owned(order)
 }
 
 /// Finds a free capable slot in the reservation row, reserving it; the
-/// row is unchanged when no slot fits. A row with no free slot of the
-/// operation's class on `cluster` is rejected before any candidate is
-/// built; branches go straight to the control slot.
+/// row is unchanged when no slot fits. The row's free slots of the
+/// operation's class on `cluster` are probed in slot order, and a row
+/// with none is rejected before any candidate is built; branches go
+/// straight to the control slot.
 pub(crate) fn find_slot(
     machine: &MachineConfig,
     row: &mut CycleReservation,
@@ -442,26 +511,29 @@ pub(crate) fn find_slot(
     cluster: ClusterId,
 ) -> Option<SlotId> {
     let class = op.class();
-    if class != vsp_isa::FuClass::Branch && !row.capable_slot_free(machine, cluster, class) {
-        return None;
-    }
-    let mut candidate = vsp_isa::Operation {
+    let candidate = |cluster, slot| vsp_isa::Operation {
         cluster,
-        slot: 0,
+        slot,
         guard: op.guard,
         kind: op.kind.clone(),
     };
     if class == vsp_isa::FuClass::Branch {
-        (candidate.cluster, candidate.slot) = machine.branch_slot();
+        let (bc, bs) = machine.branch_slot();
         return row
-            .try_reserve(machine, &candidate)
+            .try_reserve(machine, &candidate(bc, bs))
             .ok()
-            .map(|()| candidate.slot);
+            .map(|()| bs);
     }
-    for slot in machine.cluster.slots_for(class) {
-        candidate.slot = slot;
-        if row.try_reserve(machine, &candidate).is_ok() {
-            return Some(slot);
+    let mut free = row.free_slots(cluster, class);
+    if free == 0 {
+        return None;
+    }
+    let mut probe = candidate(cluster, 0);
+    while free != 0 {
+        probe.slot = free.trailing_zeros() as SlotId;
+        free &= free - 1;
+        if row.try_reserve(machine, &probe).is_ok() {
+            return Some(probe.slot);
         }
     }
     None
@@ -675,6 +747,32 @@ mod tests {
                 last = *from;
             }
         }
+    }
+
+    /// The rank set pops in ascending rank order across word boundaries,
+    /// counts exactly what it holds, and takes an evicted rank back
+    /// below ranks it already passed.
+    #[test]
+    fn worklist_pops_lowest_rank_first() {
+        for n in [1, 63, 64, 65, 130] {
+            let mut w = Worklist::full(n);
+            assert_eq!(w.len(), n);
+            let popped: Vec<u32> = std::iter::from_fn(|| w.pop_first()).collect();
+            assert_eq!(popped, (0..n as u32).collect::<Vec<_>>(), "n = {n}");
+            assert_eq!(w.len(), 0);
+        }
+        let mut w = Worklist::full(130);
+        for _ in 0..100 {
+            w.pop_first();
+        }
+        w.insert(70);
+        w.insert(3);
+        w.insert(3);
+        assert_eq!(w.len(), 32);
+        assert_eq!(w.pop_first(), Some(3));
+        assert_eq!(w.pop_first(), Some(70));
+        assert_eq!(w.pop_first(), Some(100));
+        assert_eq!(w.len(), 29);
     }
 
     #[test]

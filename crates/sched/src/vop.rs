@@ -84,15 +84,12 @@ pub struct VDep {
 pub struct VopDeps {
     len: usize,
     edges: Vec<VDep>,
-    /// Edge indices grouped by consumer, each group in edge order; the
-    /// group of operation `i` is `incoming[in_start[i]..in_start[i + 1]]`.
+    /// Edge indices grouped by consumer, each group in edge order.
     /// `u32` halves the index next to the edges themselves: a flattened
     /// body's memory-ordering edges grow quadratically.
-    in_start: Vec<u32>,
-    incoming: Vec<u32>,
+    incoming: Groups,
     /// The same grouping by producer.
-    out_start: Vec<u32>,
-    outgoing: Vec<u32>,
+    outgoing: Groups,
 }
 
 impl Default for VopDeps {
@@ -124,50 +121,61 @@ impl VopDeps {
         let mut edges = Vec::new();
         let n = body.ops.len();
 
-        // Virtual register def/use indices.
-        let mut reg_defs: Vec<Vec<usize>> = vec![Vec::new(); body.vregs as usize];
-        let mut reg_uses: Vec<Vec<usize>> = vec![Vec::new(); body.vregs as usize];
-        let mut pred_defs: Vec<Vec<usize>> = vec![Vec::new(); body.vpreds as usize];
-        let mut pred_uses: Vec<Vec<usize>> = vec![Vec::new(); body.vpreds as usize];
+        // Virtual register and predicate def/use lists, in op order.
+        let ops = || (0u32..).zip(&body.ops);
+        let reg_uses = Groups::new(body.vregs as usize, |add| {
+            for (i, op) in ops() {
+                for u in op.kind.use_regs() {
+                    add(u.index(), i);
+                }
+                if let OpKind::Xfer { src, .. } = &op.kind {
+                    // Remote read: within one cluster's lowered body the
+                    // "remote" register is still a virtual register of
+                    // this body (replication assigns clusters later).
+                    add(src.index(), i);
+                }
+            }
+        });
+        let pred_uses = Groups::new(body.vpreds as usize, |add| {
+            for (i, op) in ops() {
+                if let Some(g) = &op.guard {
+                    add(g.pred.index(), i);
+                }
+                if let OpKind::Branch { pred, .. } = &op.kind {
+                    add(pred.index(), i);
+                }
+            }
+        });
+        let reg_defs = Groups::new(body.vregs as usize, |add| {
+            for (i, op) in ops() {
+                if let Some(d) = op.kind.def_reg() {
+                    add(d.index(), i);
+                }
+            }
+        });
+        let pred_defs = Groups::new(body.vpreds as usize, |add| {
+            for (i, op) in ops() {
+                if let Some(p) = op.kind.def_pred() {
+                    add(p.index(), i);
+                }
+            }
+        });
 
-        for (i, op) in body.ops.iter().enumerate() {
-            for u in op.kind.use_regs() {
-                reg_uses[u.index()].push(i);
-            }
-            if let OpKind::Xfer { src, .. } = &op.kind {
-                // Remote read: within one cluster's lowered body the
-                // "remote" register is still a virtual register of this
-                // body (replication assigns clusters later).
-                reg_uses[src.index()].push(i);
-            }
-            if let Some(g) = &op.guard {
-                pred_uses[g.pred.index()].push(i);
-            }
-            if let OpKind::Branch { pred, .. } = &op.kind {
-                pred_uses[pred.index()].push(i);
-            }
-            if let Some(d) = op.kind.def_reg() {
-                reg_defs[d.index()].push(i);
-            }
-            if let Some(p) = op.kind.def_pred() {
-                pred_defs[p.index()].push(i);
-            }
-        }
-
-        let mut add_scalar_edges = |defs: &Vec<Vec<usize>>, uses: &Vec<Vec<usize>>| {
-            for (r, ds) in defs.iter().enumerate() {
+        let mut add_scalar_edges = |defs: &Groups, uses: &Groups| {
+            for r in 0..defs.keys() {
+                let ds = defs.get(r);
                 if ds.is_empty() {
                     continue;
                 }
-                let us = &uses[r];
-                for &u in us {
+                for &u in uses.get(r) {
+                    let u = u as usize;
                     // Flow from the latest def before u...
-                    match ds.iter().rev().find(|&&d| d < u) {
+                    match ds.iter().rev().find(|&&d| (d as usize) < u) {
                         Some(&d) => edges.push(VDep {
-                            from: d,
+                            from: d as usize,
                             to: u,
                             distance: 0,
-                            min_delay: latency_of(&lat, &body.ops[d]),
+                            min_delay: latency_of(&lat, &body.ops[d as usize]),
                         }),
                         None => {
                             // ...or carried from the last def of the
@@ -175,28 +183,28 @@ impl VopDeps {
                             // empty def lists were skipped above).
                             if let Some(&d) = ds.last() {
                                 edges.push(VDep {
-                                    from: d,
+                                    from: d as usize,
                                     to: u,
                                     distance: 1,
-                                    min_delay: latency_of(&lat, &body.ops[d]),
+                                    min_delay: latency_of(&lat, &body.ops[d as usize]),
                                 });
                             }
                         }
                     }
                     // Anti edge to the next def at or after u.
-                    if let Some(&d) = ds.iter().find(|&&d| d > u) {
+                    if let Some(&d) = ds.iter().find(|&&d| d as usize > u) {
                         edges.push(VDep {
                             from: u,
-                            to: d,
+                            to: d as usize,
                             distance: 0,
                             min_delay: 0,
                         });
-                    } else if ds[0] != u && !renamed {
+                    } else if ds[0] as usize != u && !renamed {
                         // Carried anti: next iteration's first def (only
                         // without modulo variable expansion).
                         edges.push(VDep {
                             from: u,
-                            to: ds[0],
+                            to: ds[0] as usize,
                             distance: 1,
                             min_delay: 0,
                         });
@@ -205,8 +213,8 @@ impl VopDeps {
                 // Output edges between consecutive defs.
                 for w in ds.windows(2) {
                     edges.push(VDep {
-                        from: w[0],
-                        to: w[1],
+                        from: w[0] as usize,
+                        to: w[1] as usize,
                         distance: 0,
                         min_delay: 1,
                     });
@@ -260,14 +268,22 @@ impl VopDeps {
     /// The graph over `len` operations with the given edges, indexed by
     /// consumer and by producer.
     pub(crate) fn from_edges(len: usize, edges: Vec<VDep>) -> VopDeps {
-        let (in_start, incoming) = group_edges(len, &edges, |e| e.to);
-        let (out_start, outgoing) = group_edges(len, &edges, |e| e.from);
+        assert!(
+            u32::try_from(edges.len()).is_ok(),
+            "edge indices must fit the u32 index"
+        );
+        let by = |key: fn(&VDep) -> usize| {
+            Groups::new(len, |add| {
+                for (k, e) in (0u32..).zip(&edges) {
+                    add(key(e), k);
+                }
+            })
+        };
+        let (incoming, outgoing) = (by(|e| e.to), by(|e| e.from));
         VopDeps {
             len,
             edges,
-            in_start,
             incoming,
-            out_start,
             outgoing,
         }
     }
@@ -289,14 +305,16 @@ impl VopDeps {
 
     /// Edges entering `i`, in edge order.
     pub fn preds(&self, i: usize) -> impl Iterator<Item = &VDep> {
-        self.incoming[self.in_start[i] as usize..self.in_start[i + 1] as usize]
+        self.incoming
+            .get(i)
             .iter()
             .map(|&k| &self.edges[k as usize])
     }
 
     /// Edges leaving `i`, in edge order.
     pub fn succs(&self, i: usize) -> impl Iterator<Item = &VDep> {
-        self.outgoing[self.out_start[i] as usize..self.out_start[i + 1] as usize]
+        self.outgoing
+            .get(i)
             .iter()
             .map(|&k| &self.edges[k as usize])
     }
@@ -322,29 +340,46 @@ impl VopDeps {
     }
 }
 
-/// Counting sort of edge indices by `key` (stable, so each group keeps
-/// edge order): returns the `len + 1` group offsets and the indices.
-fn group_edges(len: usize, edges: &[VDep], key: impl Fn(&VDep) -> usize) -> (Vec<u32>, Vec<u32>) {
-    assert!(
-        u32::try_from(edges.len()).is_ok(),
-        "edge indices must fit the u32 index"
-    );
-    let mut start = vec![0u32; len + 1];
-    for e in edges {
-        start[key(e) + 1] += 1;
+/// Items grouped by key, each group in the order the items came:
+/// group `k` is `items[start[k]..start[k + 1]]`.
+#[derive(Debug, Clone, PartialEq)]
+struct Groups {
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Groups {
+    /// Counting sort of the `(key, item)` pairs `visit` hands to its
+    /// argument, keys below `keys`. `visit` runs twice (count, then
+    /// fill) and must hand over the same pairs in the same order; the
+    /// sort is stable, so each group keeps that order.
+    fn new(keys: usize, visit: impl Fn(&mut dyn FnMut(usize, u32))) -> Groups {
+        // `start[k + 2]` counts key `k`; after the prefix sums
+        // `start[k + 1]` is where group `k` begins, and filling advances
+        // it to where group `k + 1` begins.
+        let mut start = vec![0u32; keys + 2];
+        visit(&mut |k, _| start[k + 2] += 1);
+        for k in 2..start.len() {
+            start[k] += start[k - 1];
+        }
+        let mut items = vec![0; start[keys + 1] as usize];
+        visit(&mut |k, item| {
+            items[start[k + 1] as usize] = item;
+            start[k + 1] += 1;
+        });
+        start.pop();
+        Groups { start, items }
     }
-    let mut total = 0;
-    for s in &mut start {
-        total += *s;
-        *s = total;
+
+    /// Number of keys.
+    fn keys(&self) -> usize {
+        self.start.len() - 1
     }
-    let mut next = start.clone();
-    let mut grouped = vec![0u32; edges.len()];
-    for (k, e) in (0..).zip(edges) {
-        grouped[next[key(e)] as usize] = k;
-        next[key(e)] += 1;
+
+    /// The items of key `k`.
+    fn get(&self, k: usize) -> &[u32] {
+        &self.items[self.start[k] as usize..self.start[k + 1] as usize]
     }
-    (start, grouped)
 }
 
 fn latency_of(lat: &LatencyModel<'_>, op: &VOp) -> u32 {
